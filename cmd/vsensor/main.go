@@ -90,8 +90,7 @@ var (
 
 	wal           = flag.Bool("wal", false, "make the analysis server durable: WAL + snapshots; crashafter faults wipe and recover it")
 	snapshotEvery = flag.Int("snapshot-every", 0, "frames between automatic server checkpoints; needs -wal (0 = default 256, negative disables)")
-	syncEvery     = flag.Int("sync-every", 0, "WAL entries between disk syncs; needs -wal (0 = default 1: sync per delivery outcome)")
-	flushEvery    = flag.Int("flush-every", 0, "delivery outcomes per WAL commit group, one write+sync each; needs -wal (0 = default 1: per-op)")
+	flushEvery    = flag.Int("flush-every", 0, "delivery outcomes per WAL commit group, one write+sync each; needs -wal (0 = default 1: every outcome durable before its ack)")
 	coalesce      = flag.Bool("coalesce", false, "collapse runs of heartbeat/duplicate/reject outcomes into count-delta WAL entries; needs -wal, implies group commit")
 	lease         = flag.Duration("lease", 0, "rank liveness lease; ranks heartbeat every lease/2, go suspect after 1 lease of silence, dead after 3")
 
@@ -99,8 +98,8 @@ var (
 	runIDFlag   = flag.String("run-id", "", "run identifier for the networked session (needs -connect; default 'local')")
 
 	reconnect        = flag.Bool("reconnect", false, "self-heal the networked session: auto-redial with jittered backoff on connection failures and resume the run at the server's durable LSN (needs -connect)")
-	dialRetryBudget  = flag.Duration("dial-retry-budget", 0, "total retry budget per dial — and per outage with -reconnect (0 = default 10s; needs -connect)")
-	dialRetryBackoff = flag.Duration("dial-retry-backoff", 0, "first dial-retry backoff, doubling with jitter per attempt when the server sends no retry-after hint (0 = default 5ms; needs -connect)")
+	dialRetryBudget  = flag.Duration("dial-retry-budget", 0, "total retry budget per dial and per outage (0 = default 10s; needs -reconnect)")
+	dialRetryBackoff = flag.Duration("dial-retry-backoff", 0, "first dial-retry backoff, doubling with jitter per attempt when the server sends no retry-after hint (0 = default 5ms; needs -reconnect)")
 )
 
 // applyTransport maps the -faults / retry / server knobs onto the run
@@ -121,14 +120,11 @@ func applyTransport(opts *vsensor.Options) {
 	if *snapshotEvery != 0 && !*wal {
 		fatal(fmt.Errorf("-snapshot-every %d needs -wal (there is no journal to checkpoint)", *snapshotEvery))
 	}
-	if *syncEvery < 0 {
-		fatal(fmt.Errorf("bad -sync-every %d: sync cadence cannot be negative", *syncEvery))
-	}
 	if *flushEvery < 0 {
 		fatal(fmt.Errorf("bad -flush-every %d: commit-group size cannot be negative", *flushEvery))
 	}
-	if (*syncEvery != 0 || *flushEvery != 0 || *coalesce) && !*wal {
-		fatal(fmt.Errorf("-sync-every/-flush-every/-coalesce need -wal (there is no journal to tune)"))
+	if (*flushEvery != 0 || *coalesce) && !*wal {
+		fatal(fmt.Errorf("-flush-every/-coalesce need -wal (there is no journal to tune)"))
 	}
 	if *lease < 0 {
 		fatal(fmt.Errorf("bad -lease %s: lease cannot be negative", *lease))
@@ -151,14 +147,16 @@ func applyTransport(opts *vsensor.Options) {
 		fatal(fmt.Errorf("dial-retry knobs must be >= 0 (dial-retry-budget %s, dial-retry-backoff %s)",
 			*dialRetryBudget, *dialRetryBackoff))
 	}
-	if (*reconnect || *dialRetryBudget != 0 || *dialRetryBackoff != 0) && *connectAddr == "" {
-		fatal(fmt.Errorf("-reconnect/-dial-retry-budget/-dial-retry-backoff need -connect (there is no networked dial to shape)"))
+	if (*dialRetryBudget != 0 || *dialRetryBackoff != 0) && !*reconnect {
+		fatal(fmt.Errorf("-dial-retry-budget/-dial-retry-backoff need -reconnect (they shape the self-healing session's retries)"))
 	}
-	retry := netsrv.RetryPolicy{MaxElapsed: *dialRetryBudget, BackoffBase: *dialRetryBackoff}
+	if *reconnect && *connectAddr == "" {
+		fatal(fmt.Errorf("-reconnect needs -connect (there is no networked session to heal)"))
+	}
 	if *reconnect {
-		opts.Reconnect = &netsrv.ReconnectConfig{Retry: retry}
-	} else if *dialRetryBudget != 0 || *dialRetryBackoff != 0 {
-		opts.DialRetry = &retry
+		opts.Reconnect = &netsrv.ReconnectConfig{
+			Retry: netsrv.RetryPolicy{MaxElapsed: *dialRetryBudget, BackoffBase: *dialRetryBackoff},
+		}
 	}
 	transportTuned := *retryMax != 0 || *retryTimeout != 0 || *retryBackoff != 0 || *bufferCap != 0 || *lease != 0
 	if *faults != "" {
@@ -180,7 +178,6 @@ func applyTransport(opts *vsensor.Options) {
 	if *wal {
 		opts.Durability = &server.DurabilityConfig{
 			SnapshotEvery: *snapshotEvery,
-			SyncEvery:     *syncEvery,
 			FlushEvery:    *flushEvery,
 			Coalesce:      *coalesce,
 		}
@@ -224,48 +221,45 @@ func printLineage(rep *vsensor.Report) {
 		st.SampledFrames, st.SampleEvery, st.Seed, st.Spans, st.FlightCap)
 }
 
-// printCoverage reports delivery coverage after a transport-routed run,
-// plus durability, liveness, and report-cache summaries when those layers
-// were on. Everything reads through the server's versioned snapshot — the
-// same render /status and /outliers serve.
+// printCoverage reports the record link's plan and delivery coverage after
+// an instrumented in-process run, plus durability, liveness, and
+// report-cache summaries when those layers were on. Everything reads
+// through the server's versioned snapshot — the same render /status and
+// /outliers serve.
 func printCoverage(rep *vsensor.Report) {
 	snap := rep.Snapshot()
-	if rep.Link == nil && snap == nil {
+	if snap == nil {
 		return
 	}
-	if rep.Link != nil && snap != nil {
-		cov := snap.Coverage
-		fmt.Printf("transport: plan [%s], coverage %.1f%% (%d/%d records, %d dup frames, %d checksum rejects)\n",
-			rep.Link.Plan(), cov.Fraction()*100, cov.IngestedRecords, cov.ExpectedRecords,
-			cov.DupFrames, cov.ChecksumErrors)
-		if ds := snap.Durability; ds.Enabled {
-			fmt.Printf("durability: gen %d, lsn %d, %d WAL entries (%d bytes, %d syncs), %d snapshots, %d recoveries\n",
-				ds.Generation, ds.LSN, ds.WALEntries, ds.WALBytes, ds.Syncs, ds.Snapshots, ds.Recoveries)
-			if ds.FlushEvery > 1 {
-				fmt.Printf("group commit: %d outcomes/group, %d group commits, %d outcomes coalesced (coalesce=%v)\n",
-					ds.FlushEvery, ds.GroupCommits, ds.CoalescedEntries, ds.Coalesce)
-			}
-			if ds.Recoveries > 0 {
-				lr := ds.LastRecovery
-				fmt.Printf("last recovery: snapshot gen %d + %d WAL entries replayed (%d frames, %d records, %d bytes truncated)\n",
-					lr.SnapshotGen, lr.WALEntriesReplayed, lr.FramesReplayed, lr.RecordsRecovered, lr.TruncatedBytes)
-			}
+	cov := snap.Coverage
+	fmt.Printf("transport: plan [%s], coverage %.1f%% (%d/%d records, %d dup frames, %d checksum rejects)\n",
+		rep.Link.Plan(), cov.Fraction()*100, cov.IngestedRecords, cov.ExpectedRecords,
+		cov.DupFrames, cov.ChecksumErrors)
+	if ds := snap.Durability; ds.Enabled {
+		fmt.Printf("durability: gen %d, lsn %d, %d WAL entries (%d bytes, %d syncs), %d snapshots, %d recoveries\n",
+			ds.Generation, ds.LSN, ds.WALEntries, ds.WALBytes, ds.Syncs, ds.Snapshots, ds.Recoveries)
+		if ds.FlushEvery > 1 {
+			fmt.Printf("group commit: %d outcomes/group, %d group commits, %d outcomes coalesced (coalesce=%v)\n",
+				ds.FlushEvery, ds.GroupCommits, ds.CoalescedEntries, ds.Coalesce)
 		}
-		if rep.Server.Heartbeats() > 0 {
-			ls := snap.Liveness
-			fmt.Printf("liveness: %d alive, %d suspect, %d dead\n", ls.Alive, ls.Suspect, ls.Dead)
-			out := snap.Report
-			if out.Degraded {
-				fmt.Printf("DEGRADED verdict: dead ranks %v excluded from watermark, confidence %.1f%% (coverage %.1f%% x liveness %.1f%%)\n",
-					out.DeadRanks, out.Confidence*100, out.Coverage.Fraction()*100, out.LivenessConfidence*100)
-			}
+		if ds.Recoveries > 0 {
+			lr := ds.LastRecovery
+			fmt.Printf("last recovery: snapshot gen %d + %d WAL entries replayed (%d frames, %d records, %d bytes truncated)\n",
+				lr.SnapshotGen, lr.WALEntriesReplayed, lr.FramesReplayed, lr.RecordsRecovered, lr.TruncatedBytes)
 		}
 	}
-	if rep.Server != nil {
-		st := rep.Server.SnapshotStats()
-		fmt.Printf("report cache: gen %d, %d reads, %d rebuilds (hit rate %.1f%%)\n",
-			st.Gen, st.Reads, st.Builds, st.HitRate()*100)
+	if rep.Server.Heartbeats() > 0 {
+		ls := snap.Liveness
+		fmt.Printf("liveness: %d alive, %d suspect, %d dead\n", ls.Alive, ls.Suspect, ls.Dead)
+		out := snap.Report
+		if out.Degraded {
+			fmt.Printf("DEGRADED verdict: dead ranks %v excluded from watermark, confidence %.1f%% (coverage %.1f%% x liveness %.1f%%)\n",
+				out.DeadRanks, out.Confidence*100, out.Coverage.Fraction()*100, out.LivenessConfidence*100)
+		}
 	}
+	st := rep.Server.SnapshotStats()
+	fmt.Printf("report cache: gen %d, %d reads, %d rebuilds (hit rate %.1f%%)\n",
+		st.Gen, st.Reads, st.Builds, st.HitRate()*100)
 }
 
 // setupObs builds the observability bundle when -http or -trace-json is
@@ -720,14 +714,9 @@ func doRun(src string, acfg analysis.Config, icfg instrument.Config) {
 		if rid == "" {
 			rid = "local"
 		}
-		if rep.Resilient != nil {
-			st := rep.Resilient.Stats()
-			fmt.Printf("sensors: %s, records delivered to %s (run %q, durable lsn %d, %d reconnects over %d dial attempts)\n",
-				rep.Instrumented.TypeSummary(), *connectAddr, rid, st.LSN, st.Reconnects, st.DialAttempts)
-		} else {
-			fmt.Printf("sensors: %s, records delivered to %s (run %q, session lsn %d)\n",
-				rep.Instrumented.TypeSummary(), *connectAddr, rid, rep.Session.Ack().LSN)
-		}
+		st := rep.Resilient.Stats()
+		fmt.Printf("sensors: %s, records delivered to %s (run %q, durable lsn %d, %d reconnects over %d dial attempts)\n",
+			rep.Instrumented.TypeSummary(), *connectAddr, rid, st.LSN, st.Reconnects, st.DialAttempts)
 	}
 	printCoverage(rep)
 	printLineage(rep)

@@ -140,22 +140,10 @@ func TestFlagParsing(t *testing.T) {
 			wantStderr: "lease cannot be negative",
 		},
 		{
-			name:       "negative sync-every",
-			args:       []string{"run", "-wal", "-sync-every", "-1", tiny},
-			wantCode:   1,
-			wantStderr: "sync cadence cannot be negative",
-		},
-		{
 			name:       "negative flush-every",
 			args:       []string{"run", "-wal", "-flush-every", "-8", tiny},
 			wantCode:   1,
 			wantStderr: "commit-group size cannot be negative",
-		},
-		{
-			name:       "sync-every without wal",
-			args:       []string{"run", "-sync-every", "4", tiny},
-			wantCode:   1,
-			wantStderr: "need -wal",
 		},
 		{
 			name:       "flush-every without wal",
@@ -197,13 +185,19 @@ func TestFlagParsing(t *testing.T) {
 			name:       "reconnect without connect",
 			args:       []string{"run", "-reconnect", tiny},
 			wantCode:   1,
-			wantStderr: "need -connect",
+			wantStderr: "needs -connect",
 		},
 		{
 			name:       "dial-retry budget without connect",
 			args:       []string{"run", "-dial-retry-budget", "1s", tiny},
 			wantCode:   1,
-			wantStderr: "need -connect",
+			wantStderr: "need -reconnect",
+		},
+		{
+			name:       "dial-retry budget without reconnect",
+			args:       []string{"run", "-connect", "127.0.0.1:1", "-dial-retry-budget", "1s", tiny},
+			wantCode:   1,
+			wantStderr: "need -reconnect",
 		},
 		{
 			name:       "negative dial-retry backoff",

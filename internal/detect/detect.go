@@ -104,7 +104,7 @@ type Emitter interface {
 }
 
 // TraceSource is implemented by emitters that participate in record-lineage
-// tracing (e.g. transport.Conn, server.Client): NextTrace reports the
+// tracing (transport.Conn, the record path's emitter): NextTrace reports the
 // lineage trace ID of the frame the next emitted record will travel in,
 // or 0 when that frame is unsampled or lineage is off. The detector uses it
 // to stamp an "emit" span at the moment a smoothed record leaves the rank.

@@ -6,8 +6,9 @@ import (
 )
 
 // BenchmarkLoadDurable is the durability-throughput comparison behind the
-// group-commit WAL: the identical pre-encoded workload driven through the
-// per-op, group-commit, and coalesced encoders at three cluster sizes.
+// group-commit WAL: the identical pre-encoded workload driven with a commit
+// per outcome (per-op), with group commit, and with coalescing at three
+// cluster sizes.
 // One benchmark op is one complete run (every frame, duplicate, and
 // heartbeat ingested, final group flushed). The reported metrics are what
 // the comparison is about — records/s (durable ingest throughput),

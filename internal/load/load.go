@@ -9,9 +9,10 @@
 // (p50/p95/p99) for a given durability configuration.
 //
 // Its purpose is the durability-throughput comparison behind the
-// group-commit WAL: the same workload run under the per-op, group-commit,
-// and coalesced encoders (VariantDurability) makes the cost of "one sync
-// per outcome" and the win from batching directly measurable.
+// group-commit WAL: the same workload run with a commit per outcome
+// (per-op, FlushEvery 1), with group commit, and with coalescing
+// (VariantDurability) makes the cost of "one sync per outcome" and the win
+// from batching directly measurable.
 // scripts/check.sh renders the comparison to BENCH_load.json and gates the
 // group-commit speedup.
 package load
@@ -64,8 +65,8 @@ type Config struct {
 	SyncDelayNs int64
 
 	// Durability configures the server's WAL; the harness installs a fresh
-	// in-memory disk per run. A zero value is the per-op encoder with a
-	// sync per outcome.
+	// in-memory disk per run. A zero value commits (one write + one sync)
+	// per outcome.
 	Durability server.DurabilityConfig
 }
 

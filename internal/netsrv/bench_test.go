@@ -125,6 +125,7 @@ func BenchmarkNetIngest(b *testing.B) {
 						s, err := DialResilient(ReconnectConfig{
 							Addr:  svc.Addr().String(),
 							Hello: Hello{RunID: fmt.Sprintf("bench-%d-%d", i, t), Rank: 0},
+							Retry: RetryPolicy{NetErrors: true},
 						})
 						if err != nil {
 							b.Fatal(err)

@@ -17,14 +17,14 @@ import (
 // bad header, oversized envelope).
 var ErrFrameRejected = errors.New("netsrv: server rejected frame")
 
-// DialConfig tunes Dial and the session it produces.
+// DialConfig tunes each connection a ResilientSession dials.
 type DialConfig struct {
 	// Timeout bounds the TCP connect plus the hello/ack exchange.
 	// Default 5s.
 	Timeout time.Duration
 
-	// Window is the pipelining depth for SendAsync: how many frames may
-	// be in flight before the sender must consume an ack. Default 256.
+	// Window is the pipelining depth: how many frames may be in flight
+	// before the sender must consume an ack. Default 256.
 	Window int
 
 	// OpTimeout is the per-operation I/O deadline after the handshake:
@@ -48,25 +48,19 @@ func (c *DialConfig) fillDefaults() {
 	}
 }
 
-// Session is one client-side connection to a Service, speaking the
-// envelope protocol for a single run. Its synchronous Receive implements
-// transport.Medium, so a fault-injecting transport.Link can proxy straight
-// onto the wire; SendAsync/Drain is the pipelined path for bulk senders
-// that cannot afford one round trip per frame.
+// session is one client-side connection to a Service, speaking the
+// envelope protocol for a single run: the per-connection half of a
+// ResilientSession, which owns redialing and the resume ledger. Frames go
+// out pipelined (SendAsync) and Drain collects their acks.
 //
-// Session is safe for concurrent use: a transport.Link shared by many rank
-// goroutines funnels all of their delivery attempts into one Session, so
-// the frame/ack exchange serializes under an internal lock (matching the
-// in-process server, whose Receive is also internally synchronized).
-//
-// A Session distinguishes two failure classes. Protocol-level statuses
+// A session distinguishes two failure classes. Protocol-level statuses
 // (ErrFrameRejected, server.ErrServerDown) describe one frame's fate on a
 // healthy connection. Transport-level failures (write errors, ack-read
 // errors, envelope corruption, deadline expiry) poison the session: the
 // first one is remembered and every later call fails fast with it instead
-// of writing into a broken pipe — Broken exposes it so a resilient
-// wrapper can decide to redial.
-type Session struct {
+// of writing into a broken pipe — Broken exposes it so the ResilientSession
+// can decide to redial. All methods are safe for concurrent use.
+type session struct {
 	mu        sync.Mutex
 	conn      net.Conn
 	r         *bufio.Reader
@@ -82,18 +76,18 @@ type Session struct {
 	ackBuf    []byte
 	closed    atomic.Bool
 
-	// ackHook, when set (by ResilientSession, same package), observes
-	// every ack status in arrival order before it is mapped to an error.
+	// ackHook, when set (by ResilientSession), observes every ack status
+	// in arrival order before it is mapped to an error.
 	// It runs on the calling goroutine while the session lock is held.
 	ackHook func(status byte)
 }
 
-// Dial connects to a Service and performs the vSS1 handshake for h
+// dial connects to a Service and performs the vSS1 handshake for h
 // (h.Version defaults to ProtocolVersion). A vSE1 refusal comes back as a
 // *Refuse error — errors.As(err, &Refuse{}) exposes the code and the
 // retry-after hint. Every handshake-failure path closes the TCP
 // connection exactly once, here.
-func Dial(addr string, h Hello, cfg DialConfig) (*Session, error) {
+func dial(addr string, h Hello, cfg DialConfig) (*session, error) {
 	cfg.fillDefaults()
 	if h.Version == 0 {
 		h.Version = ProtocolVersion
@@ -114,9 +108,9 @@ func Dial(addr string, h Hello, cfg DialConfig) (*Session, error) {
 }
 
 // handshake runs the hello/ack exchange on an open connection. It never
-// closes conn — Dial owns that on failure.
-func handshake(conn net.Conn, h Hello, cfg DialConfig) (*Session, error) {
-	s := &Session{
+// closes conn — dial owns that on failure.
+func handshake(conn net.Conn, h Hello, cfg DialConfig) (*session, error) {
+	s := &session{
 		conn:      conn,
 		r:         bufio.NewReaderSize(conn, 64<<10),
 		w:         bufio.NewWriterSize(conn, 64<<10),
@@ -152,12 +146,12 @@ func handshake(conn net.Conn, h Hello, cfg DialConfig) (*Session, error) {
 
 // Ack returns the server's session ack: the run's durable LSN and whether
 // the run already existed.
-func (s *Session) Ack() SessionAck { return s.ack }
+func (s *session) Ack() SessionAck { return s.ack }
 
 // Broken returns the sticky transport error that poisoned the session, or
 // nil while the connection is still believed healthy. Protocol-level
 // per-frame statuses (reject/down) never poison.
-func (s *Session) Broken() error {
+func (s *session) Broken() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.connErr
@@ -165,7 +159,7 @@ func (s *Session) Broken() error {
 
 // fail records the first transport-level failure and returns it; later
 // calls keep failing with the original cause.
-func (s *Session) fail(err error) error {
+func (s *session) fail(err error) error {
 	if s.connErr == nil {
 		s.connErr = err
 	}
@@ -179,7 +173,7 @@ func (s *Session) fail(err error) error {
 // the effective bound on any single blocking call stays within
 // [opTimeout/2, opTimeout] while the hot path skips almost all of the
 // runtime-timer churn a per-call SetDeadline would cost.
-func (s *Session) armRead() {
+func (s *session) armRead() {
 	if s.opTimeout <= 0 {
 		return
 	}
@@ -191,7 +185,7 @@ func (s *Session) armRead() {
 	_ = s.conn.SetReadDeadline(s.readDl)
 }
 
-func (s *Session) armWrite() {
+func (s *session) armWrite() {
 	if s.opTimeout <= 0 {
 		return
 	}
@@ -203,36 +197,12 @@ func (s *Session) armWrite() {
 	_ = s.conn.SetWriteDeadline(s.writeDl)
 }
 
-// Receive sends one encoded vS* frame and waits for its ack — the
-// transport.Medium contract, one round trip per frame. Ack statuses map
-// onto the same errors the in-process server returns, so everything built
-// on those errors (retry classification, ErrServerDown backpressure
-// packing) works identically over the wire.
-func (s *Session) Receive(encoded []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.connErr != nil {
-		return s.connErr
-	}
-	if err := s.drainLocked(); err != nil {
-		return err
-	}
-	s.armWrite()
-	if err := writeEnvelope(s.w, encoded); err != nil {
-		return s.fail(err)
-	}
-	if err := s.w.Flush(); err != nil {
-		return s.fail(err)
-	}
-	return s.readAck()
-}
-
 // SendAsync queues one encoded frame without waiting for its ack, reading
 // an old ack only when the pipeline window is full. Protocol-level ack
 // failures surface on a later SendAsync or on Drain; a transport-level
 // write failure poisons the session and is returned immediately, so
 // callers fail fast instead of pumping frames into a broken pipe.
-func (s *Session) SendAsync(encoded []byte) error {
+func (s *session) SendAsync(encoded []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.connErr != nil {
@@ -267,7 +237,7 @@ func (s *Session) SendAsync(encoded []byte) error {
 
 // Drain flushes queued frames and consumes every outstanding ack,
 // returning the first failure the pipeline saw.
-func (s *Session) Drain() error {
+func (s *session) Drain() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.connErr != nil {
@@ -276,7 +246,7 @@ func (s *Session) Drain() error {
 	return s.drainLocked()
 }
 
-func (s *Session) drainLocked() error {
+func (s *session) drainLocked() error {
 	if s.inflight > 0 {
 		s.armWrite()
 		if err := s.w.Flush(); err != nil {
@@ -300,7 +270,7 @@ func (s *Session) drainLocked() error {
 
 // drainBuffered consumes acks that can be read without touching the
 // socket: a full ack envelope is envHeaderSize+1 bytes.
-func (s *Session) drainBuffered() {
+func (s *session) drainBuffered() {
 	for s.inflight > 0 && s.connErr == nil && s.r.Buffered() >= envHeaderSize+1 {
 		if err := s.readAck(); err != nil && s.connErr == nil && s.pendErr == nil {
 			s.pendErr = err
@@ -311,7 +281,7 @@ func (s *Session) drainBuffered() {
 // readAck consumes one 1-byte ack envelope and maps it to an error.
 // Anything other than a clean, known status is a stream-integrity failure
 // and poisons the session.
-func (s *Session) readAck() error {
+func (s *session) readAck() error {
 	if s.connErr != nil {
 		return s.connErr
 	}
@@ -346,7 +316,7 @@ func (s *Session) readAck() error {
 
 // Close tears down the connection. It is idempotent and safe to call
 // concurrently with a blocked operation (the close interrupts it).
-func (s *Session) Close() error {
+func (s *session) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}

@@ -91,7 +91,7 @@ func TestMultiTenantDifferentialConformance(t *testing.T) {
 				wg.Add(1)
 				go func(run int) {
 					defer wg.Done()
-					sess, err := Dial(svc.Addr().String(), Hello{RunID: fmt.Sprintf("run-%d", run), Rank: 0}, DialConfig{})
+					sess, err := dial(svc.Addr().String(), Hello{RunID: fmt.Sprintf("run-%d", run), Rank: 0}, DialConfig{})
 					if err != nil {
 						errs[run] = err
 						return

@@ -36,6 +36,7 @@ func proxyDial(t *testing.T, addr, runID string, seed int64) *ResilientSession {
 			MaxElapsed:  30 * time.Second,
 			BackoffBase: time.Millisecond,
 			BackoffMax:  20 * time.Millisecond,
+			NetErrors:   true,
 			Seed:        seed,
 		},
 	})
@@ -176,10 +177,18 @@ func TestProxyKillRecoverConformance(t *testing.T) {
 				WriteTimeout: time.Second,
 				NewServer: func(runID string) *server.Server {
 					dur = server.NewSharded(shards)
+					// A group draw <= 1 without coalescing commits every
+					// perOp outcomes; both values are drawn in a fixed
+					// order, so each seed keeps its plan.
+					perOp := []int{0, 1, 4, 16}[rng.Intn(4)]
+					flushEvery := []int{0, 0, 2, 8}[rng.Intn(4)]
+					coalesce := rng.Intn(2) == 0
+					if flushEvery <= 1 && !coalesce {
+						flushEvery = perOp
+					}
 					dur.AttachDurability(server.DurabilityConfig{
-						SyncEvery:     []int{0, 1, 4, 16}[rng.Intn(4)],
-						FlushEvery:    []int{0, 0, 2, 8}[rng.Intn(4)],
-						Coalesce:      rng.Intn(2) == 0,
+						FlushEvery:    flushEvery,
+						Coalesce:      coalesce,
 						SnapshotEvery: []int{0, -1, 3, 8}[rng.Intn(4)],
 						Disk: storage.NewDisk(storage.Faults{
 							Seed:      0xD15C + int64(trial),
@@ -248,7 +257,7 @@ func TestProxyKillRecoverConformance(t *testing.T) {
 						return
 					default:
 					}
-					if p, err := Dial(px.Addr(), Hello{RunID: "pxkill", Rank: 1},
+					if p, err := dial(px.Addr(), Hello{RunID: "pxkill", Rank: 1},
 						DialConfig{Timeout: 200 * time.Millisecond, OpTimeout: 200 * time.Millisecond}); err == nil {
 						p.Close()
 					}
@@ -319,7 +328,7 @@ func TestProxyKillRecoverConformance(t *testing.T) {
 			}
 			// A fresh session against the survivor reads the durable LSN
 			// from its vSA1 ack — the resume contract across all faults.
-			s2, err := Dial(px.Addr(), Hello{RunID: "pxkill", Rank: 2}, DialConfig{})
+			s2, err := dial(px.Addr(), Hello{RunID: "pxkill", Rank: 2}, DialConfig{})
 			if err == nil {
 				defer s2.Close()
 				if s2.Ack().Flags&AckFlagResumed == 0 {

@@ -15,8 +15,8 @@ import (
 // at all (vSE1 refusals with a retry-after hint always are, when the code
 // is transient).
 type RetryPolicy struct {
-	// MaxElapsed is the total retry budget for one dial (or, inside
-	// ResilientSession, one outage). Default 10s.
+	// MaxElapsed is the total retry budget for the first dial and, with
+	// NetErrors, for each later outage. Default 10s.
 	MaxElapsed time.Duration
 
 	// BackoffBase is the first sleep after a retryable failure with no
@@ -25,10 +25,13 @@ type RetryPolicy struct {
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
 
-	// NetErrors retries dial/handshake network errors too, not just
-	// explicit vSE1 refusals. DialRetry defaults to false (an unreachable
-	// address should fail fast); ResilientSession forces it on (an
-	// outage IS a network error).
+	// NetErrors makes network errors retryable, not just explicit vSE1
+	// refusals: a failed dial is retried within the budget, and a
+	// connection that breaks mid-session is redialled within a fresh
+	// per-outage budget. Off, the session has a zero outage budget: an
+	// unreachable address fails the first dial fast, and a broken
+	// connection is final — every later operation fails with
+	// server.ErrServerDown.
 	NetErrors bool
 
 	// Seed drives the backoff jitter deterministically.
@@ -50,14 +53,6 @@ func (p *RetryPolicy) fillDefaults() {
 	}
 }
 
-// RetryStats accounts one DialRetry call (or accumulates across a
-// ResilientSession's lifetime).
-type RetryStats struct {
-	Attempts  int64 // dial attempts, including the successful one
-	Refusals  int64 // vSE1 refusals honored (slept on the server's hint)
-	BackoffNs int64 // total time slept between attempts
-}
-
 // retryableRefusal reports whether a vSE1 code describes a transient
 // condition worth honoring the retry-after hint for. Bad hellos and the
 // run cap are permanent from one client's point of view.
@@ -69,27 +64,16 @@ func retryableRefusal(code uint16) bool {
 	return false
 }
 
-// dialer is the shared retry engine behind DialRetry and
-// ResilientSession.redial: dial, classify the failure, sleep the server's
-// hint (refusals) or a jittered exponential backoff (net errors), repeat
-// until the deadline.
-type dialer struct {
-	addr string
-	cfg  DialConfig
-	p    RetryPolicy
-	rng  *rand.Rand
-}
-
-func newDialer(addr string, cfg DialConfig, p RetryPolicy) *dialer {
-	p.fillDefaults()
-	return &dialer{addr: addr, cfg: cfg, p: p, rng: rand.New(rand.NewSource(p.Seed ^ 0x72656469616c))}
-}
-
-func (d *dialer) dial(h Hello, deadline time.Time, st *RetryStats) (*Session, error) {
-	backoff := d.p.BackoffBase
+// dialLocked is the retry engine: dial, classify the failure, sleep the
+// server's hint (refusals) or a jittered exponential backoff (net errors),
+// repeat until the deadline. Attempts, honored refusals, and backoff
+// sleeps are booked in r.stats.
+func (r *ResilientSession) dialLocked(h Hello, deadline time.Time) (*session, error) {
+	p, st := &r.cfg.Retry, &r.stats
+	backoff := p.BackoffBase
 	for {
-		st.Attempts++
-		s, err := Dial(d.addr, h, d.cfg)
+		st.DialAttempts++
+		s, err := dial(r.cfg.Addr, h, r.cfg.Dial)
 		if err == nil {
 			return s, nil
 		}
@@ -105,16 +89,16 @@ func (d *dialer) dial(h Hello, deadline time.Time, st *RetryStats) (*Session, er
 			if wait <= 0 {
 				wait = backoff
 			}
-		case d.p.NetErrors:
+		case p.NetErrors:
 			wait = backoff
 		default:
 			return nil, err
 		}
 		// ±25% deterministic jitter so a fleet of resuming clients does
 		// not stampede the listener in lock-step.
-		wait += time.Duration(d.rng.Int63n(int64(wait)/2+1)) - wait/4
-		if backoff *= 2; backoff > d.p.BackoffMax {
-			backoff = d.p.BackoffMax
+		wait += time.Duration(r.rng.Int63n(int64(wait)/2+1)) - wait/4
+		if backoff *= 2; backoff > p.BackoffMax {
+			backoff = p.BackoffMax
 		}
 		if time.Now().Add(wait).After(deadline) {
 			return nil, err
@@ -122,19 +106,6 @@ func (d *dialer) dial(h Hello, deadline time.Time, st *RetryStats) (*Session, er
 		st.BackoffNs += int64(wait)
 		time.Sleep(wait)
 	}
-}
-
-// DialRetry is Dial with a refusal-honoring retry loop: a vSE1 busy /
-// session-cap / shutdown refusal sleeps the server's retry-after hint and
-// tries again within the policy budget, instead of surfacing the first
-// refusal to the caller. Network errors fail fast unless p.NetErrors is
-// set. The stats are returned even on failure.
-func DialRetry(addr string, h Hello, cfg DialConfig, p RetryPolicy) (*Session, RetryStats, error) {
-	var st RetryStats
-	p.fillDefaults()
-	d := newDialer(addr, cfg, p)
-	s, err := d.dial(h, time.Now().Add(p.MaxElapsed), &st)
-	return s, st, err
 }
 
 // ReconnectConfig shapes a ResilientSession.
@@ -148,11 +119,12 @@ type ReconnectConfig struct {
 	// Dial tunes each underlying connection (timeouts, window).
 	Dial DialConfig
 
-	// Retry is the per-outage budget: once a live connection breaks, the
-	// session redials under this policy, and only when the budget is
-	// exhausted does the failure surface (as server.ErrServerDown, so
-	// transport.Link parks frames instead of dropping them). NetErrors
-	// is forced on.
+	// Retry shapes the first dial and, with NetErrors set, each outage:
+	// once a live connection breaks, the session redials under this
+	// policy, and only when the budget is exhausted does the failure
+	// surface (as server.ErrServerDown, so transport.Link parks frames
+	// instead of dropping them). Without NetErrors a broken connection
+	// surfaces as server.ErrServerDown immediately.
 	Retry RetryPolicy
 }
 
@@ -163,14 +135,15 @@ type ResilientStats struct {
 	Refusals     int64  // vSE1 refusals honored
 	BackoffNs    int64  // total time slept in dial backoff
 	Resumed      int64  // queued envelopes skipped because the resume LSN proved them processed
-	Outages      int64  // operations that exhausted the retry budget
+	Outages      int64  // operations that found the connection gone and the outage budget spent
 	LSN          uint64 // client's belief of the tenant's durable LSN
 }
 
-// ResilientSession is a transport.Medium that survives the network: it
-// wraps Dial, auto-redials on connection loss with exponential backoff +
-// jitter, honors vSE1 retry-after hints, and resumes delivery at the
-// durable LSN carried by the vSA1 session ack so a reconnect neither
+// ResilientSession is the client side of a run's network session and a
+// transport.Medium. It dials with vSE1 retry-after hints honored and, with
+// Retry.NetErrors, survives the network: it auto-redials on connection
+// loss with exponential backoff + jitter and resumes delivery at the
+// durable LSN carried by the vSA1 session ack, so a reconnect neither
 // loses nor duplicates journaled envelopes.
 //
 // The resume algorithm rides the dense-LSN contract of the durable
@@ -192,8 +165,8 @@ type ResilientStats struct {
 type ResilientSession struct {
 	mu   sync.Mutex
 	cfg  ReconnectConfig
-	d    *dialer
-	sess *Session
+	rng  *rand.Rand // backoff jitter, seeded from cfg.Retry.Seed
+	sess *session
 
 	lsn     uint64   // belief: tenant's durable LSN after all answered envelopes
 	pend    [][]byte // sent-but-unanswered envelope copies, oldest first
@@ -212,12 +185,11 @@ type ResilientSession struct {
 
 // DialResilient dials the first connection eagerly (so configuration
 // errors and permanent refusals surface immediately) and returns the
-// self-healing session.
+// session; cfg.Retry.NetErrors decides whether it self-heals.
 func DialResilient(cfg ReconnectConfig) (*ResilientSession, error) {
 	cfg.Dial.fillDefaults()
 	cfg.Retry.fillDefaults()
-	cfg.Retry.NetErrors = true
-	r := &ResilientSession{cfg: cfg, d: newDialer(cfg.Addr, cfg.Dial, cfg.Retry)}
+	r := &ResilientSession{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Retry.Seed ^ 0x72656469616c))}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err := r.redialLocked(time.Now().Add(cfg.Retry.MaxElapsed)); err != nil {
@@ -264,7 +236,7 @@ func (r *ResilientSession) ResyncLSN(lsn uint64) {
 }
 
 // onAck observes every ack in arrival order. It runs on the calling
-// goroutine, inside a Session operation, while r.mu is held by that same
+// goroutine, inside a session operation, while r.mu is held by that same
 // caller — the oldest unanswered envelope is the one being answered.
 func (r *ResilientSession) onAck(status byte) {
 	if len(r.pend) > 0 {
@@ -303,16 +275,13 @@ func (r *ResilientSession) onAck(status byte) {
 func (r *ResilientSession) redialLocked(deadline time.Time) error {
 	h := r.cfg.Hello
 	h.ResumeLSN = r.lsn
-	var st RetryStats
-	s, err := r.d.dial(h, deadline, &st)
-	r.stats.DialAttempts += st.Attempts
-	r.stats.Refusals += st.Refusals
-	r.stats.BackoffNs += st.BackoffNs
+	before := r.stats
+	s, err := r.dialLocked(h, deadline)
 	if r.attempts != nil {
-		r.attempts.Add(st.Attempts)
+		r.attempts.Add(r.stats.DialAttempts - before.DialAttempts)
 	}
-	if r.backoffNs != nil && st.BackoffNs > 0 {
-		r.backoffNs.ObserveInt(st.BackoffNs)
+	if slept := r.stats.BackoffNs - before.BackoffNs; r.backoffNs != nil && slept > 0 {
+		r.backoffNs.ObserveInt(slept)
 	}
 	if err != nil {
 		r.stats.Outages++
@@ -357,7 +326,7 @@ func (r *ResilientSession) dropSessLocked() {
 
 // transmitLocked pushes untransmitted queued envelopes onto the live
 // session, optionally draining all outstanding acks. Ack arrivals pop the
-// queue via onAck as a side effect of the Session calls.
+// queue via onAck as a side effect of the session calls.
 func (r *ResilientSession) transmitLocked(drain bool) error {
 	s := r.sess
 	for r.sent < len(r.pend) {
@@ -383,8 +352,13 @@ func (r *ResilientSession) opLocked(drain bool) error {
 	var deadline time.Time
 	for {
 		if r.sess == nil {
+			if !r.cfg.Retry.NetErrors {
+				// Zero outage budget: a broken connection is final.
+				r.stats.Outages++
+				return server.ErrServerDown
+			}
 			if deadline.IsZero() {
-				deadline = time.Now().Add(r.d.p.MaxElapsed)
+				deadline = time.Now().Add(r.cfg.Retry.MaxElapsed)
 			}
 			if err := r.redialLocked(deadline); err != nil {
 				return server.ErrServerDown

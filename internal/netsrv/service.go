@@ -506,6 +506,16 @@ func (s *Service) handleConn(c net.Conn) {
 
 	_ = c.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
 	payload, _, err := readEnvelope(r, nil, helloHeaderSize+MaxRunIDLen)
+	if err != nil && !isTimeout(err) {
+		// A torn, oversized, or CRC-failing envelope says nothing about
+		// the client's hello — the byte stream itself is damaged. Hang up
+		// without a verdict: a RefuseBadHello here would read as a
+		// permanent refusal and stop a resuming client from redialing.
+		if errors.Is(err, ErrEnvelopeCorrupt) || errors.Is(err, ErrEnvelopeTooLarge) {
+			s.corruptEnv.Add(1)
+		}
+		return
+	}
 	if err != nil || !isHello(payload) {
 		s.refusedBadHello.Add(1)
 		s.metrics().refused.Inc()

@@ -2,6 +2,7 @@ package netsrv
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -20,6 +21,16 @@ import (
 
 // testFrame builds one valid vSF1 data frame for rank with n records.
 // seq is 1-based; cum counts records through (and including) this frame.
+// Receive sends one frame on a bare session and waits for its ack — the
+// transport.Medium contract, one round trip per frame — for tests that
+// drive a single connection without the ResilientSession around it.
+func (s *session) Receive(encoded []byte) error {
+	if err := s.SendAsync(encoded); err != nil {
+		return err
+	}
+	return s.Drain()
+}
+
 func testFrame(rank int, seq uint64, cum uint64, n int) []byte {
 	recs := make([]detect.SliceRecord, n)
 	for i := range recs {
@@ -54,7 +65,7 @@ func TestSessionRoundTrip(t *testing.T) {
 	}
 	defer svc.Close()
 
-	sess, err := Dial(svc.Addr().String(), Hello{RunID: "run-a", Rank: 3}, DialConfig{})
+	sess, err := dial(svc.Addr().String(), Hello{RunID: "run-a", Rank: 3}, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +119,7 @@ func TestSessionResumeLSNAndFlags(t *testing.T) {
 	}
 	defer svc.Close()
 
-	s1, err := Dial(svc.Addr().String(), Hello{RunID: "run-r", Rank: 0}, DialConfig{})
+	s1, err := dial(svc.Addr().String(), Hello{RunID: "run-r", Rank: 0}, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +131,7 @@ func TestSessionResumeLSNAndFlags(t *testing.T) {
 	// Second session against the same run ID sees the resumed flag and the
 	// same tenant (an in-memory tenant reports LSN 0; the durable path is
 	// exercised by the kill-recover conformance suite).
-	s2, err := Dial(svc.Addr().String(), Hello{RunID: "run-r", Rank: 1, ResumeLSN: 7}, DialConfig{})
+	s2, err := dial(svc.Addr().String(), Hello{RunID: "run-r", Rank: 1, ResumeLSN: 7}, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +162,7 @@ func TestLoadShedExplicitRefusal(t *testing.T) {
 	addr := svc.Addr().String()
 
 	// c1 occupies the only worker with a live session.
-	c1, err := Dial(addr, Hello{RunID: "shed", Rank: 0}, DialConfig{})
+	c1, err := dial(addr, Hello{RunID: "shed", Rank: 0}, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +180,7 @@ func TestLoadShedExplicitRefusal(t *testing.T) {
 	// c3 arrives to a full queue: explicit refusal, bounded wait.
 	done := make(chan error, 1)
 	go func() {
-		_, derr := Dial(addr, Hello{RunID: "shed", Rank: 1}, DialConfig{Timeout: 5 * time.Second})
+		_, derr := dial(addr, Hello{RunID: "shed", Rank: 1}, DialConfig{Timeout: 5 * time.Second})
 		done <- derr
 	}()
 	select {
@@ -208,9 +219,9 @@ func TestPoolScalesUpDown(t *testing.T) {
 	}
 	defer svc.Close()
 
-	var sessions []*Session
+	var sessions []*session
 	for i := 0; i < maxW; i++ {
-		s, err := Dial(svc.Addr().String(), Hello{RunID: "pool", Rank: i}, DialConfig{})
+		s, err := dial(svc.Addr().String(), Hello{RunID: "pool", Rank: i}, DialConfig{})
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
@@ -247,17 +258,17 @@ func TestTenantCaps(t *testing.T) {
 	defer svc.Close()
 	addr := svc.Addr().String()
 
-	s1, err := Dial(addr, Hello{RunID: "only", Rank: 0}, DialConfig{})
+	s1, err := dial(addr, Hello{RunID: "only", Rank: 0}, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Close()
 
 	var ref *Refuse
-	if _, err := Dial(addr, Hello{RunID: "only", Rank: 1}, DialConfig{}); !errors.As(err, &ref) || ref.Code != RefuseRunSessions {
+	if _, err := dial(addr, Hello{RunID: "only", Rank: 1}, DialConfig{}); !errors.As(err, &ref) || ref.Code != RefuseRunSessions {
 		t.Fatalf("second session on capped run: %v, want RefuseRunSessions", err)
 	}
-	if _, err := Dial(addr, Hello{RunID: "other", Rank: 0}, DialConfig{}); !errors.As(err, &ref) || ref.Code != RefuseRuns {
+	if _, err := dial(addr, Hello{RunID: "other", Rank: 0}, DialConfig{}); !errors.As(err, &ref) || ref.Code != RefuseRuns {
 		t.Fatalf("second run on capped service: %v, want RefuseRuns", err)
 	}
 	st := svc.Stats()
@@ -268,7 +279,7 @@ func TestTenantCaps(t *testing.T) {
 	// Releasing the session frees the slot for the same run.
 	s1.Close()
 	waitFor(t, "session slot freed", func() bool {
-		s2, err := Dial(addr, Hello{RunID: "only", Rank: 2}, DialConfig{})
+		s2, err := dial(addr, Hello{RunID: "only", Rank: 2}, DialConfig{})
 		if err != nil {
 			return false
 		}
@@ -338,6 +349,47 @@ func TestBadHelloRefused(t *testing.T) {
 }
 
 // TestShedCountsInStatus wires the service into an obs registry and
+// TestCorruptHelloGetsNoRefusal pins the hello path's answer to wire
+// damage: a hello envelope whose CRC fails is a broken byte stream, not a
+// bad hello, so the service hangs up without a vSE1 verdict — a
+// RefuseBadHello would be final for the client, and a resuming session
+// would give up on a run the next clean dial could have resumed.
+func TestCorruptHelloGetsNoRefusal(t *testing.T) {
+	svc, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	var env bytes.Buffer
+	w := bufio.NewWriter(&env)
+	if err := writeEnvelope(w, AppendHello(nil, Hello{RunID: "flip"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	wire := env.Bytes()
+	wire[len(wire)-1] ^= 0x10 // one bit flipped in transit
+
+	c, err := net.Dial("tcp", svc.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if payload, _, err := readEnvelope(bufio.NewReader(c), nil, refuseSize); err == nil {
+		t.Fatalf("corrupt hello answered with envelope %x, want a bare close", payload)
+	}
+	waitFor(t, "corruption accounting", func() bool { return svc.Stats().CorruptEnvelopes == 1 })
+	if st := svc.Stats(); st.RefusedBadHello != 0 || st.Sessions != 0 {
+		t.Fatalf("corrupt hello booked as a refusal or a session: %+v", st)
+	}
+}
+
 // asserts shed/accept counts surface through both /metrics and /status.
 func TestShedCountsInStatus(t *testing.T) {
 	o := obs.New()
@@ -354,7 +406,7 @@ func TestShedCountsInStatus(t *testing.T) {
 	o.SetStatus(func() any { return map[string]any{"net": svc.StatusMap()} })
 
 	addr := svc.Addr().String()
-	s1, err := Dial(addr, Hello{RunID: "obs", Rank: 0}, DialConfig{})
+	s1, err := dial(addr, Hello{RunID: "obs", Rank: 0}, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +417,7 @@ func TestShedCountsInStatus(t *testing.T) {
 	}
 	defer c2.Close()
 	waitFor(t, "queue primed", func() bool { return svc.Stats().Accepted == 2 })
-	if _, err := Dial(addr, Hello{RunID: "obs", Rank: 1}, DialConfig{}); err == nil {
+	if _, err := dial(addr, Hello{RunID: "obs", Rank: 1}, DialConfig{}); err == nil {
 		t.Fatal("third connection was not shed")
 	}
 	waitFor(t, "shed counted", func() bool { return svc.Stats().Shed == 1 })
@@ -423,7 +475,7 @@ func TestCloseRefusesQueued(t *testing.T) {
 	}
 	addr := svc.Addr().String()
 
-	s1, err := Dial(addr, Hello{RunID: "close", Rank: 0}, DialConfig{})
+	s1, err := dial(addr, Hello{RunID: "close", Rank: 0}, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +520,7 @@ func TestSessionPipelinedSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	sess, err := Dial(svc.Addr().String(), Hello{RunID: "pipe", Rank: 0}, DialConfig{Window: 16})
+	sess, err := dial(svc.Addr().String(), Hello{RunID: "pipe", Rank: 0}, DialConfig{Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

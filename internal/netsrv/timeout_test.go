@@ -57,7 +57,7 @@ func TestIdleReaperFires(t *testing.T) {
 	}
 	defer svc.Close()
 
-	s, err := Dial(svc.Addr().String(), Hello{RunID: "idle"}, DialConfig{})
+	s, err := dial(svc.Addr().String(), Hello{RunID: "idle"}, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestIdleReaperSparedByHeartbeats(t *testing.T) {
 	}
 	defer svc.Close()
 
-	s, err := Dial(svc.Addr().String(), Hello{RunID: "hb"}, DialConfig{})
+	s, err := dial(svc.Addr().String(), Hello{RunID: "hb"}, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,17 +208,18 @@ func TestStalledReaderReaped(t *testing.T) {
 	}
 }
 
-// TestDialRetryHonorsRetryAfter occupies the single per-run session slot,
-// frees it mid-budget, and expects DialRetry to absorb the vSE1 refusals
-// (sleeping per their RetryAfterMs hint) and land the session.
-func TestDialRetryHonorsRetryAfter(t *testing.T) {
+// TestFirstDialHonorsRetryAfter occupies the single per-run session slot,
+// frees it mid-budget, and expects a session with a zero outage budget (no
+// NetErrors) to absorb the vSE1 refusals on its first dial (sleeping per
+// their RetryAfterMs hint) and land.
+func TestFirstDialHonorsRetryAfter(t *testing.T) {
 	svc, err := Listen("127.0.0.1:0", Config{MaxRunSessions: 1, RetryAfterMs: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
 
-	s1, err := Dial(svc.Addr().String(), Hello{RunID: "slot"}, DialConfig{})
+	s1, err := dial(svc.Addr().String(), Hello{RunID: "slot"}, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,26 +228,90 @@ func TestDialRetryHonorsRetryAfter(t *testing.T) {
 		s1.Close()
 	}()
 
-	s2, st, err := DialRetry(svc.Addr().String(), Hello{RunID: "slot", Rank: 1}, DialConfig{},
-		RetryPolicy{MaxElapsed: 5 * time.Second, Seed: 7})
+	s2, err := DialResilient(ReconnectConfig{
+		Addr:  svc.Addr().String(),
+		Hello: Hello{RunID: "slot", Rank: 1},
+		Retry: RetryPolicy{MaxElapsed: 5 * time.Second, Seed: 7},
+	})
 	if err != nil {
-		t.Fatalf("DialRetry never landed: %v (stats %+v)", err, st)
+		t.Fatalf("first dial never landed: %v", err)
 	}
 	defer s2.Close()
+	st := s2.Stats()
 	if st.Refusals == 0 {
-		t.Fatalf("slot was held 150ms but DialRetry saw no refusals: %+v", st)
+		t.Fatalf("slot was held 150ms but the dial saw no refusals: %+v", st)
 	}
-	if st.Attempts < 2 {
+	if st.DialAttempts < 2 {
 		t.Fatalf("expected at least one retry, got %+v", st)
 	}
 
 	// Exhausted budget surfaces the last refusal, typed; s2 still holds
 	// the slot, so every attempt inside the budget is refused.
-	_, _, err = DialRetry(svc.Addr().String(), Hello{RunID: "slot", Rank: 3}, DialConfig{},
-		RetryPolicy{MaxElapsed: 120 * time.Millisecond, Seed: 7})
+	_, err = DialResilient(ReconnectConfig{
+		Addr:  svc.Addr().String(),
+		Hello: Hello{RunID: "slot", Rank: 3},
+		Retry: RetryPolicy{MaxElapsed: 120 * time.Millisecond, Seed: 7},
+	})
 	var ref *Refuse
 	if !errors.As(err, &ref) || ref.Code != RefuseRunSessions {
 		t.Fatalf("exhausted budget returned %v, want *Refuse{RefuseRunSessions}", err)
+	}
+}
+
+// TestZeroBudgetSessionFailsFast pins the session without NetErrors: an
+// unreachable address fails the first dial at once, and a connection that
+// breaks mid-run is never redialled — every operation after the break
+// surfaces server.ErrServerDown, the sentinel the Link parks frames on.
+func TestZeroBudgetSessionFailsFast(t *testing.T) {
+	svc, err := Listen("127.0.0.1:0", Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := svc.Addr().String()
+	rs, err := DialResilient(ReconnectConfig{
+		Addr:  addr,
+		Hello: Hello{RunID: "once"},
+		Dial:  DialConfig{OpTimeout: 200 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	hb := server.AppendHeartbeat(nil, 0, 1_000_000, 5_000_000)
+	if err := rs.Receive(hb); err != nil {
+		t.Fatal(err)
+	}
+	svc.Close()
+	svc2, err := Listen(addr, Config{})
+	if err != nil {
+		t.Fatalf("relisten on %s: %v", addr, err)
+	}
+	defer svc2.Close()
+
+	var got error
+	waitFor(t, "broken connection", func() bool {
+		got = rs.Receive(hb)
+		return got != nil
+	})
+	if !errors.Is(got, server.ErrServerDown) {
+		t.Fatalf("break surfaced as %v, want server.ErrServerDown", got)
+	}
+	if err := rs.Receive(hb); !errors.Is(err, server.ErrServerDown) {
+		t.Fatalf("operation after the break returned %v, want server.ErrServerDown", err)
+	}
+	if st := rs.Stats(); st.DialAttempts != 1 || st.Reconnects != 0 || st.Outages == 0 {
+		t.Fatalf("zero-budget session redialled or booked no outage: %+v", st)
+	}
+	if svc2.Tenant("once") != nil {
+		t.Fatal("the restarted service saw a session: the broken connection was redialled")
+	}
+
+	start := time.Now()
+	if _, err := DialResilient(ReconnectConfig{Addr: "127.0.0.1:1", Hello: Hello{RunID: "x"}}); err == nil {
+		t.Fatal("dial to an unreachable address succeeded")
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("unreachable first dial took %v, want fail-fast", d)
 	}
 }
 
@@ -259,7 +324,7 @@ func TestSessionPoisonAndIdempotentClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Dial(svc.Addr().String(), Hello{RunID: "poison"}, DialConfig{OpTimeout: 200 * time.Millisecond})
+	s, err := dial(svc.Addr().String(), Hello{RunID: "poison"}, DialConfig{OpTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +369,7 @@ func TestResilientOutageSurfacesServerDown(t *testing.T) {
 		Addr:  svc.Addr().String(),
 		Hello: Hello{RunID: "outage"},
 		Dial:  DialConfig{Timeout: 100 * time.Millisecond, OpTimeout: 100 * time.Millisecond},
-		Retry: RetryPolicy{MaxElapsed: 250 * time.Millisecond, BackoffBase: time.Millisecond, Seed: 3},
+		Retry: RetryPolicy{MaxElapsed: 250 * time.Millisecond, BackoffBase: time.Millisecond, NetErrors: true, Seed: 3},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +404,7 @@ func TestResilientReconnectResumes(t *testing.T) {
 		Addr:  addr,
 		Hello: Hello{RunID: "resume"},
 		Dial:  DialConfig{Timeout: 200 * time.Millisecond, OpTimeout: 200 * time.Millisecond},
-		Retry: RetryPolicy{MaxElapsed: 10 * time.Second, BackoffBase: time.Millisecond, Seed: 5},
+		Retry: RetryPolicy{MaxElapsed: 10 * time.Second, BackoffBase: time.Millisecond, NetErrors: true, Seed: 5},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,14 +6,16 @@ import (
 	"vsensor/internal/detect"
 )
 
-// TestFlushSteadyStateAllocs pins the client transfer path's allocation
-// behaviour: once the wire buffer, the shard's flow/progress entries, and
-// the epoch accumulators are warm, shipping a batch allocates nothing
-// beyond the (amortized, pre-sized here) growth of the shard sub-log, its
-// segment index, and the epochs' entry slices.
+// TestFlushSteadyStateAllocs pins the server half of a batch transfer:
+// once the sender's wire buffer, the shard's flow/progress entries, and the
+// epoch accumulators are warm, encoding a batch with AppendFrame and
+// ingesting it allocates nothing beyond the (amortized, pre-sized here)
+// growth of the shard sub-log, its segment index, and the epochs' entry
+// slices. The emitter half is pinned by transport's
+// TestConnFlushSteadyStateAllocs.
 func TestFlushSteadyStateAllocs(t *testing.T) {
 	s := New()
-	c := s.NewClient(3, 8)
+	c := newTestSender(s, 3, 8)
 	batch := make([]detect.SliceRecord, 8)
 	for i := range batch {
 		batch[i] = detect.SliceRecord{
@@ -23,7 +25,7 @@ func TestFlushSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	// Pre-size the append-only structures so their growth doesn't count
-	// against the per-flush path, and warm the client's buffers (and the
+	// against the per-flush path, and warm the sender's buffers (and the
 	// epoch map entries) with one round.
 	sh := s.shardFor(3)
 	sh.records = make([]detect.SliceRecord, 0, 16<<10)

@@ -117,9 +117,9 @@ func TestLineageSpansThroughServer(t *testing.T) {
 	lin := o.EnableLineage(obs.LineageConfig{SampleEvery: 1}) // trace everything
 	s.SetObs(o)
 
-	clients := make([]*Client, ranks)
+	clients := make([]*testSender, ranks)
 	for r := range clients {
-		clients[r] = s.NewClient(r, 1) // batch 1: one frame per record
+		clients[r] = newTestSender(s, r, 1) // batch 1: one frame per record
 	}
 	for sl := 0; sl < slices; sl++ {
 		for r, c := range clients {
@@ -257,9 +257,9 @@ func TestLineageSampledSetShardInvariant(t *testing.T) {
 		o := obs.New()
 		lin := o.EnableLineage(obs.LineageConfig{SampleEvery: 4, Seed: 99})
 		s.SetObs(o)
-		clients := make([]*Client, ranks)
+		clients := make([]*testSender, ranks)
 		for r := range clients {
-			clients[r] = s.NewClient(r, 1)
+			clients[r] = newTestSender(s, r, 1)
 		}
 		for seq := 0; seq < frames; seq++ {
 			for r, c := range clients {
@@ -368,32 +368,6 @@ func TestLineageOffIngestUnchanged(t *testing.T) {
 	}
 	if got := len(s.Records()); got != 1 {
 		t.Fatalf("got %d records, want 1", got)
-	}
-}
-
-// TestClientNextTraceMatchesFlush pins the TraceSource contract: the trace
-// NextTrace predicts before a flush is the trace the wire actually carries.
-func TestClientNextTraceMatchesFlush(t *testing.T) {
-	s := NewSharded(1)
-	o := obs.New()
-	lin := o.EnableLineage(obs.LineageConfig{SampleEvery: 2, Seed: 5})
-	s.SetObs(o)
-	c := s.NewClient(7, 4)
-	for seq := uint64(1); seq <= 20; seq++ {
-		predicted := c.NextTrace()
-		for i := 0; i < 4; i++ {
-			if err := c.OnSlice(detect.SliceRecord{
-				Sensor: i, Rank: 7, SliceNs: int64(seq), Count: 1, AvgNs: 1,
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if want := lin.TraceID(7, seq); predicted != want {
-			t.Fatalf("seq %d: NextTrace = %#x, want %#x", seq, predicted, want)
-		}
-	}
-	if lin.SampledFrames() == 0 {
-		t.Fatal("no frames sampled at SampleEvery=2")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 
 func TestRecordsSinceCursor(t *testing.T) {
 	s := New()
-	c := s.NewClient(0, 1)
+	c := newTestSender(s, 0, 1)
 	for i := 0; i < 5; i++ {
 		c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: int64(i) * 1000, Count: 1, AvgNs: 10})
 	}
@@ -45,8 +45,8 @@ func TestPerRankProgress(t *testing.T) {
 	if pr := s.PerRankProgress(); len(pr) != 0 {
 		t.Fatalf("empty server per-rank = %v", pr)
 	}
-	c0 := s.NewClient(0, 1)
-	c1 := s.NewClient(1, 1)
+	c0 := newTestSender(s, 0, 1)
+	c1 := newTestSender(s, 1, 1)
 	c0.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: 1_000_000, Count: 1, AvgNs: 10})
 	c0.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: 3_000_000, Count: 1, AvgNs: 10})
 	c1.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 2, SliceNs: 2_000_000, Count: 1, AvgNs: 10})
@@ -70,7 +70,7 @@ func TestProgressSnapshot(t *testing.T) {
 	if p := s.Progress(); p.Records != 0 || p.LatestSliceNs != 0 {
 		t.Errorf("empty progress = %+v", p)
 	}
-	c := s.NewClient(0, 2)
+	c := newTestSender(s, 0, 2)
 	c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: 5_000_000, Count: 1, AvgNs: 10})
 	c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: 8_000_000, Count: 1, AvgNs: 10})
 	p := s.Progress()

@@ -26,17 +26,28 @@ import (
 // run of outcomes and carries the last one's LSN — so the recovered LSN IS
 // the count of delivery-schedule items whose effects survived.
 // Redelivering schedule[LSN:] replays the lost suffix through the
-// identical state machine, for the per-op, group-commit, and coalescing
-// encoders alike.
+// identical state machine, for every commit window, with and without
+// coalescing.
 
 // durableTrial is one randomized kill-and-recover scenario's tuning.
 type durableTrial struct {
-	syncEvery  int
-	flushEvery int  // > 1 selects the group-commit encoder
-	coalesce   bool // collapse chatter runs into count-delta entries
-	snapEvery  int
-	faults     storage.Faults
-	crashes    []int // schedule indices at which the server crashes
+	perOpWindow int  // commit window when the group draw is <= 1 and coalesce is off
+	flushEvery  int  // group-commit window draw
+	coalesce    bool // collapse chatter runs into count-delta entries
+	snapEvery   int
+	faults      storage.Faults
+	crashes     []int // schedule indices at which the server crashes
+}
+
+// commitWindow is the trial's FlushEvery. A group draw <= 1 without
+// coalescing commits every perOpWindow outcomes (0 and 1 both mean every
+// outcome); coalescing alone keeps the server's DefaultFlushEvery. Both
+// values are drawn in a fixed order, so each seed keeps its plan.
+func (c durableTrial) commitWindow() int {
+	if c.flushEvery <= 1 && !c.coalesce {
+		return c.perOpWindow
+	}
+	return c.flushEvery
 }
 
 func TestKillRecoverConformance(t *testing.T) {
@@ -57,10 +68,10 @@ func TestKillRecoverConformance(t *testing.T) {
 				shuffle: rng.Intn(2) == 0,
 			}
 			trialCfg := durableTrial{
-				syncEvery:  []int{0, 1, 4, 16}[rng.Intn(4)],
-				flushEvery: []int{0, 0, 2, 8, 32}[rng.Intn(5)],
-				coalesce:   rng.Intn(2) == 0,
-				snapEvery:  []int{0, -1, 3, 8, 32}[rng.Intn(5)],
+				perOpWindow: []int{0, 1, 4, 16}[rng.Intn(4)],
+				flushEvery:  []int{0, 0, 2, 8, 32}[rng.Intn(5)],
+				coalesce:    rng.Intn(2) == 0,
+				snapEvery:   []int{0, -1, 3, 8, 32}[rng.Intn(5)],
 				faults: storage.Faults{
 					Seed:      0xBAD + int64(trial),
 					TornWrite: []float64{0, 0.5, 1}[rng.Intn(3)],
@@ -99,8 +110,7 @@ func TestKillRecoverConformance(t *testing.T) {
 			// recovering at the chosen points.
 			dur := NewSharded(shards)
 			dur.AttachDurability(DurabilityConfig{
-				SyncEvery:     trialCfg.syncEvery,
-				FlushEvery:    trialCfg.flushEvery,
+				FlushEvery:    trialCfg.commitWindow(),
 				Coalesce:      trialCfg.coalesce,
 				SnapshotEvery: trialCfg.snapEvery,
 				Disk:          storage.NewDisk(trialCfg.faults),
@@ -193,7 +203,7 @@ func TestKillRecoverConformance(t *testing.T) {
 	}
 }
 
-// A crash mid-run with a fault-free, sync-every-entry disk must recover
+// A crash mid-run with a fault-free disk and a commit per outcome must recover
 // every acknowledged frame: ack implies durable.
 func TestRecoverAckImpliesDurable(t *testing.T) {
 	s := NewSharded(4)
@@ -234,13 +244,13 @@ func TestRecoverAckImpliesDurable(t *testing.T) {
 	}
 }
 
-// Group commit (SyncEvery > 1) deliberately weakens ack-implies-durable:
+// Group commit (FlushEvery > 1) deliberately weakens ack-implies-durable:
 // a crash can lose the acknowledged-but-unsynced tail, and the recovered
 // LSN tells clients exactly how much to re-send.
 func TestRecoverGroupCommitLosesTail(t *testing.T) {
 	s := NewSharded(2)
 	s.AttachDurability(DurabilityConfig{
-		SyncEvery:     64,
+		FlushEvery:    64,
 		SnapshotEvery: -1, // no checkpoints: the tail stays unsynced
 		Disk:          storage.NewDisk(storage.Faults{}),
 	})
@@ -312,7 +322,7 @@ func TestAttachDurabilityPanics(t *testing.T) {
 	expectPanic("attach after ingest", func() { late.AttachDurability(DurabilityConfig{}) })
 }
 
-// appendTestEntry frames one WAL payload the way appendEntry does.
+// appendTestEntry frames one WAL payload the way the encoder does.
 func appendTestEntry(dst []byte, kind byte, lsn uint64, body []byte) []byte {
 	payload := append([]byte{kind}, binary.LittleEndian.AppendUint64(nil, lsn)...)
 	payload = append(payload, body...)

@@ -26,7 +26,6 @@ package server
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"strconv"
 	"sync/atomic"
@@ -34,10 +33,6 @@ import (
 	"vsensor/internal/detect"
 	"vsensor/internal/obs"
 )
-
-// DefaultBatchSize is how many slice records a client buffers before
-// transferring them in one frame.
-const DefaultBatchSize = 64
 
 // DefaultShards is the ingest shard count when New is used directly.
 // Shard counts are rounded up to a power of two so rank routing is a mask.
@@ -482,120 +477,6 @@ func (s *Server) Records() []detect.SliceRecord {
 	}
 	return out
 }
-
-// Client is a per-rank connection to the analysis server. It implements
-// detect.Emitter, buffering records and transferring them in framed batches
-// (paper: "each process buffers its data locally and periodically
-// transfers them in batch to analysis-server"). This client delivers
-// in-process and reliably; internal/transport wraps the same wire format in
-// a lossy, fault-injectable link. Not safe for concurrent use; each rank
-// owns one client.
-type Client struct {
-	server    *Server
-	rank      int
-	batchSize int
-	buf       []detect.SliceRecord
-	enc       []byte // reusable wire buffer; one allocation per client
-
-	seq       uint64
-	cum       uint64
-	sent      int64
-	bytesSent int64
-	refused   bool  // last flush hit a down server; its records are still buffered
-	packed    int64 // flushes that delivered more than one flush interval
-}
-
-// NewClient connects a rank to the server. batchSize <= 0 selects the
-// default; batchSize 1 effectively disables batching (ablation A4).
-func (s *Server) NewClient(rank, batchSize int) *Client {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	return &Client{server: s, rank: rank, batchSize: batchSize}
-}
-
-// OnSlice buffers one record, flushing when the batch is full.
-func (c *Client) OnSlice(r detect.SliceRecord) error {
-	c.buf = append(c.buf, r)
-	if len(c.buf) >= c.batchSize {
-		return c.Flush()
-	}
-	return nil
-}
-
-// Flush transfers the buffered records as sequenced frames — normally one,
-// chunked only when packing accumulated more than a frame can carry. The
-// wire buffer is reused across flushes, so a warm client allocates nothing
-// per batch.
-//
-// Backpressure packing: when the server is down (ErrServerDown, between
-// Crash and Recover), the flush's sequence number is rolled back and the
-// records stay buffered — a refused frame never touched the server's dedup
-// state, so the next flush may legally re-cut the same sequence number
-// around a bigger batch, packing multiple flush intervals into one frame.
-// Any other delivery error (impossible for a self-encoded frame, but the
-// emitter contract allows it) drops the chunk's records rather than
-// retrying — retry belongs to internal/transport.
-func (c *Client) Flush() error {
-	for len(c.buf) > 0 {
-		n := len(c.buf)
-		if n > MaxFrameRecords {
-			n = MaxFrameRecords
-		}
-		c.seq++
-		c.cum += uint64(n)
-		h := FrameHeader{Rank: c.rank, Seq: c.seq, CumRecords: c.cum}
-		lin := c.server.lin
-		if lin != nil {
-			h.TraceID = lin.TraceID(c.rank, c.seq)
-		}
-		c.enc = AppendFrame(c.enc[:0], h, c.buf[:n])
-		if err := c.server.Receive(c.enc); err != nil {
-			seq := c.seq
-			if errors.Is(err, ErrServerDown) {
-				c.seq--
-				c.cum -= uint64(n)
-				c.refused = true
-			} else {
-				c.buf = c.buf[:copy(c.buf, c.buf[n:])]
-			}
-			return fmt.Errorf("server: frame %d from rank %d rejected: %w", seq, c.rank, err)
-		}
-		if lin != nil && h.TraceID != 0 {
-			lin.FrameSampled()
-		}
-		if c.refused {
-			c.packed++
-			c.refused = false
-		}
-		c.sent += int64(n)
-		c.bytesSent += int64(len(c.enc))
-		c.buf = c.buf[:copy(c.buf, c.buf[n:])]
-	}
-	return nil
-}
-
-// PackedFlushes reports how many flushes delivered records accumulated
-// across more than one flush interval (backpressure packing).
-func (c *Client) PackedFlushes() int64 { return c.packed }
-
-// NextTrace reports the lineage trace ID the *next* flushed frame will
-// carry (0 when unsampled or lineage is off). Records buffered now leave in
-// frame seq+1, so the detector can tag its emit span with the same trace
-// the wire will see. Implements detect.TraceSource.
-func (c *Client) NextTrace() uint64 {
-	lin := c.server.lin
-	if lin == nil {
-		return 0
-	}
-	return lin.TraceID(c.rank, c.seq+1)
-}
-
-// BytesSent returns the client's total encoded payload bytes.
-func (c *Client) BytesSent() int64 { return c.bytesSent }
-
-// RecordsSent returns how many slice records this client shipped.
-func (c *Client) RecordsSent() int64 { return c.sent }
 
 // ---------- delivery coverage ----------
 

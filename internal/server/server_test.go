@@ -102,7 +102,7 @@ func TestParseFrameHostileCount(t *testing.T) {
 
 func TestClientBatching(t *testing.T) {
 	s := New()
-	c := s.NewClient(1, 10)
+	c := newTestSender(s, 1, 10)
 	for i := 0; i < 25; i++ {
 		if err := c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 1, SliceNs: int64(i), Count: 1, AvgNs: 5}); err != nil {
 			t.Fatal(err)
@@ -114,14 +114,14 @@ func TestClientBatching(t *testing.T) {
 	if err := c.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Messages() != 3 || c.RecordsSent() != 25 {
-		t.Errorf("messages=%d sent=%d", s.Messages(), c.RecordsSent())
+	if s.Messages() != 3 || c.cum != 25 {
+		t.Errorf("messages=%d sent=%d", s.Messages(), c.cum)
 	}
 	if len(s.Records()) != 25 {
 		t.Errorf("server records = %d", len(s.Records()))
 	}
-	if c.BytesSent() != s.BytesReceived() {
-		t.Errorf("byte accounting mismatch: %d vs %d", c.BytesSent(), s.BytesReceived())
+	if c.bytes != s.BytesReceived() {
+		t.Errorf("byte accounting mismatch: %d vs %d", c.bytes, s.BytesReceived())
 	}
 	cov := s.Coverage()
 	if !cov.Complete() || cov.ExpectedRecords != 25 || cov.IngestedFrames != 3 {
@@ -131,8 +131,8 @@ func TestClientBatching(t *testing.T) {
 
 func TestBatchingReducesMessages(t *testing.T) {
 	batched, unbatched := New(), New()
-	cb := batched.NewClient(0, 64)
-	cu := unbatched.NewClient(0, 1)
+	cb := newTestSender(batched, 0, 64)
+	cu := newTestSender(unbatched, 0, 1)
 	for i := 0; i < 640; i++ {
 		r := detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: int64(i), Count: 1, AvgNs: 1}
 		cb.OnSlice(r)
@@ -283,7 +283,7 @@ func batchOutliers(recs []detect.SliceRecord, threshold float64) []Outlier {
 
 func TestInterProcessOutliers(t *testing.T) {
 	s := New()
-	c := s.NewClient(0, 0)
+	c := newTestSender(s, 0, 64)
 	// 8 ranks, same sensor & slice; rank 5 is 2x slower.
 	for rank := 0; rank < 8; rank++ {
 		avg := 100.0
@@ -305,7 +305,7 @@ func TestInterProcessOutliers(t *testing.T) {
 
 func TestOutliersRequireQuorum(t *testing.T) {
 	s := New()
-	c := s.NewClient(0, 0)
+	c := newTestSender(s, 0, 64)
 	c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: 0, Count: 1, AvgNs: 100})
 	c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 1, SliceNs: 0, Count: 1, AvgNs: 500})
 	c.Flush()
@@ -320,7 +320,7 @@ func TestConcurrentClients(t *testing.T) {
 	for r := 0; r < 16; r++ {
 		go func(rank int) {
 			defer func() { done <- struct{}{} }()
-			c := s.NewClient(rank, 7)
+			c := newTestSender(s, rank, 7)
 			for i := 0; i < 100; i++ {
 				c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: rank, SliceNs: int64(i), Count: 1, AvgNs: 1})
 			}

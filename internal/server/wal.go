@@ -71,33 +71,25 @@ const maxCoalesced = 1 << 30
 
 // DurabilityConfig tunes the WAL + snapshot layer.
 type DurabilityConfig struct {
-	// SyncEvery is how many WAL entries may accumulate before an fsync;
-	// <= 1 syncs every entry (ack implies durable — the default, and the
-	// mode under which transport-level exactly-once survives real crashes).
-	// Larger values model group commit: acknowledged-but-unsynced tail
-	// entries can be lost at a crash and must be re-sent by clients. Only
-	// meaningful for the per-op encoder (FlushEvery <= 1): the group
-	// encoder syncs once per commit group instead.
-	SyncEvery int
-
-	// FlushEvery enables group commit: up to FlushEvery delivery outcomes
+	// FlushEvery is the commit knob: up to FlushEvery delivery outcomes
 	// accumulate in a staging buffer and hit the device as one write + one
-	// sync. <= 1 keeps the per-op encoder (every outcome is its own write,
-	// synced per SyncEvery). Staged-but-unflushed outcomes are lost at a
-	// crash — the same ack contract as SyncEvery > 1 — and clients re-send
+	// sync. <= 1 (the default) commits every outcome on its own, so an ack
+	// implies the outcome is durable — the mode under which transport-level
+	// exactly-once survives real crashes. Larger values are group commit:
+	// staged-but-unflushed outcomes are lost at a crash and clients re-send
 	// from the recovered LSN.
 	FlushEvery int
 
 	// FlushBytes caps the staging buffer in bytes: a commit group flushes
 	// when it covers FlushEvery outcomes *or* FlushBytes staged bytes,
-	// whichever comes first. 0 selects DefaultFlushBytes. Ignored by the
-	// per-op encoder.
+	// whichever comes first. 0 selects DefaultFlushBytes.
 	FlushBytes int
 
 	// Coalesce collapses runs of heartbeat/dup/checksum/reject outcomes
 	// into count-delta entries (walKind*N), so steady-state chatter costs
-	// O(1) journal bytes per run instead of O(n). Implies group commit:
-	// when FlushEvery <= 1 it is raised to DefaultFlushEvery.
+	// O(1) journal bytes per run instead of O(n). A run only forms inside a
+	// commit group, so when FlushEvery <= 1 it is raised to
+	// DefaultFlushEvery.
 	Coalesce bool
 
 	// SnapshotEvery is how many frames are ingested between automatic
@@ -120,21 +112,6 @@ const DefaultFlushEvery = 64
 // DefaultFlushBytes is the group-commit staging cap in bytes.
 const DefaultFlushBytes = 1 << 16
 
-// walEncoder is the pluggable commit policy behind the append path. All
-// methods are called with d.mu held. frame/dup/badFrame/heartbeat each
-// record exactly one delivery outcome (advancing the LSN by one); flush
-// forces any staged entries onto the device; reset drops staged state
-// after a crash; staged reports what has been acked but not yet written.
-type walEncoder interface {
-	frame(ticket uint64, encoded []byte, trace uint64, rank int) error
-	dup(rank int) error
-	badFrame(checksum bool) error
-	heartbeat(rank int, nowNs, leaseNs int64) error
-	flush() error
-	reset()
-	staged() (entries int, bytes int64)
-}
-
 // durability is the server's WAL/snapshot state. All fields except stateMu
 // are guarded by mu; stateMu serializes ingest (read side) against crash,
 // recovery, and checkpoint (write side).
@@ -147,14 +124,13 @@ type durability struct {
 	mu   sync.Mutex
 	disk *storage.Disk
 	cfg  DurabilityConfig
-	enc  walEncoder
+	enc  *groupEncoder
 
-	gen       uint64 // current WAL segment generation == checkpoint count
-	lsn       uint64 // last assigned log sequence number
-	sinceSync int    // entries appended since the last fsync (per-op encoder)
-	frames    int    // frames appended since the last checkpoint
-	snapDue   bool   // set when frames crosses SnapshotEvery; cleared by Checkpoint
-	buf       []byte // reusable entry encode buffer
+	gen     uint64 // current WAL segment generation == checkpoint count
+	lsn     uint64 // last assigned log sequence number
+	frames  int    // frames appended since the last checkpoint
+	snapDue bool   // set when frames crosses SnapshotEvery; cleared by Checkpoint
+	buf     []byte // reusable entry encode buffer
 
 	// Lifetime counters (survive Crash; they describe the device, not the
 	// server state).
@@ -193,55 +169,6 @@ func snapName(gen uint64) string {
 		return "snap.a"
 	}
 	return "snap.b"
-}
-
-// appendEntry frames one payload and appends it to the live segment,
-// syncing per the configured cadence. Caller holds d.mu. trace/rank carry
-// the entry's lineage context (trace 0 for unsampled or non-frame entries):
-// a sampled frame records a wal_append span over the two device appends and,
-// when this entry triggers the group-commit fsync, a wal_sync span over it —
-// so a lineage shows whether the record's frame paid the sync or rode an
-// earlier one. Used by the per-op encoder.
-func (d *durability) appendEntry(payload []byte, trace uint64, rank int) error {
-	traced := d.lin != nil && trace != 0
-	var t0 int64
-	if traced {
-		t0 = nowUnixNs()
-	}
-	var hdr [walEntryHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	seg := walSegmentName(d.gen)
-	if err := d.disk.Append(seg, hdr[:]); err != nil {
-		return err
-	}
-	if err := d.disk.Append(seg, payload); err != nil {
-		return err
-	}
-	d.entries++
-	d.bytes += int64(walEntryHeader + len(payload))
-	d.obsEntries.Inc()
-	d.obsBytes.Add(int64(walEntryHeader + len(payload)))
-	if traced {
-		d.lin.Record(trace, obs.StageWALAppend, rank, 0, t0, nowUnixNs()-t0, int64(len(payload)))
-	}
-	d.sinceSync++
-	if d.cfg.SyncEvery <= 1 || d.sinceSync >= d.cfg.SyncEvery {
-		var s0 int64
-		if traced {
-			s0 = nowUnixNs()
-		}
-		if err := d.disk.Sync(seg); err != nil {
-			return err
-		}
-		d.sinceSync = 0
-		d.syncs++
-		d.obsSyncs.Inc()
-		if traced {
-			d.lin.Record(trace, obs.StageWALSync, rank, 0, s0, nowUnixNs()-s0, 0)
-		}
-	}
-	return nil
 }
 
 // entryAt serializes the common payload prefix (kind + an explicit LSN)
@@ -383,7 +310,7 @@ type DurabilityStats struct {
 	WALEntries       int64
 	WALBytes         int64
 	Syncs            int64
-	GroupCommits     int64 // commit groups flushed (group encoder only)
+	GroupCommits     int64 // commit groups flushed (one per sync)
 	CoalescedEntries int64 // outcomes absorbed into an open coalesced run
 	StagedEntries    int   // entries acked but not yet written to the device
 	StagedBytes      int64
@@ -392,9 +319,8 @@ type DurabilityStats struct {
 	DiskBytes        int64 // total bytes on the backing device
 	LastRecovery     RecoveryStats
 	SnapshotEvery    int
-	SyncEvery        int
-	FlushEvery       int  // 1 = per-op encoder
-	FlushBytes       int  // 0 = per-op encoder
+	FlushEvery       int // 1 = one write and one sync per outcome
+	FlushBytes       int
 	Coalesce         bool
 }
 
@@ -410,14 +336,6 @@ func (s *Server) DurabilityStats() DurabilityStats {
 	every := d.cfg.SnapshotEvery
 	if every == 0 {
 		every = DefaultSnapshotEvery
-	}
-	sync := d.cfg.SyncEvery
-	if sync <= 1 {
-		sync = 1
-	}
-	flushEvery := d.cfg.FlushEvery
-	if flushEvery <= 1 {
-		flushEvery = 1
 	}
 	stagedEntries, stagedBytes := d.enc.staged()
 	return DurabilityStats{
@@ -436,8 +354,7 @@ func (s *Server) DurabilityStats() DurabilityStats {
 		DiskBytes:        d.disk.Size(),
 		LastRecovery:     d.lastRec,
 		SnapshotEvery:    every,
-		SyncEvery:        sync,
-		FlushEvery:       flushEvery,
+		FlushEvery:       d.cfg.FlushEvery,
 		FlushBytes:       d.cfg.FlushBytes,
 		Coalesce:         d.cfg.Coalesce,
 	}
@@ -455,9 +372,7 @@ func (s *Server) Disk() *storage.Disk {
 // AttachDurability enables the WAL + snapshot layer over disk (a fresh
 // fault-free disk when cfg.Disk is nil). Must be called before any frame is
 // ingested; attaching twice or after ingest panics — durability is a
-// construction-time decision. FlushEvery > 1 (or Coalesce, which implies
-// it) selects the group-commit encoder; otherwise every outcome is its own
-// journal write, synced per SyncEvery.
+// construction-time decision.
 func (s *Server) AttachDurability(cfg DurabilityConfig) {
 	if s.dur != nil {
 		panic("server: durability already attached")
@@ -465,28 +380,20 @@ func (s *Server) AttachDurability(cfg DurabilityConfig) {
 	if s.ticket.Load() != 0 {
 		panic("server: AttachDurability after ingest started")
 	}
-	disk := cfg.Disk
-	if disk == nil {
-		disk = storage.NewDisk(storage.Faults{})
+	if cfg.Disk == nil {
+		cfg.Disk = storage.NewDisk(storage.Faults{})
 	}
-	if cfg.Coalesce && cfg.FlushEvery <= 1 {
-		cfg.FlushEvery = DefaultFlushEvery
-	}
-	d := &durability{disk: disk, cfg: cfg}
-	if cfg.FlushEvery > 1 {
-		if cfg.FlushBytes <= 0 {
-			d.cfg.FlushBytes = DefaultFlushBytes
+	if cfg.FlushEvery <= 1 {
+		cfg.FlushEvery = 1
+		if cfg.Coalesce {
+			cfg.FlushEvery = DefaultFlushEvery
 		}
-		d.enc = &groupEncoder{
-			d:          d,
-			coalesce:   cfg.Coalesce,
-			flushEvery: d.cfg.FlushEvery,
-			flushBytes: d.cfg.FlushBytes,
-		}
-	} else {
-		d.cfg.FlushBytes = 0
-		d.enc = &perOpEncoder{d: d}
 	}
+	if cfg.FlushBytes <= 0 {
+		cfg.FlushBytes = DefaultFlushBytes
+	}
+	d := &durability{disk: cfg.Disk, cfg: cfg}
+	d.enc = &groupEncoder{d: d}
 	s.dur = d
 }
 

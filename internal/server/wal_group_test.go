@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -153,7 +152,7 @@ func TestGroupCommitFlushBoundary(t *testing.T) {
 
 // A staged-but-unflushed commit group dies with the process: the crash
 // loses the whole acked tail (LSN 0 with nothing flushed) and clients
-// re-send it — the SyncEvery>1-equivalent ack contract.
+// re-send it — the group-commit ack contract.
 func TestGroupCommitStagedTailLostAtCrash(t *testing.T) {
 	disk := storage.NewDisk(storage.Faults{})
 	s := NewSharded(1)
@@ -237,60 +236,6 @@ func TestCheckpointFlushesOpenRun(t *testing.T) {
 	}
 }
 
-// While the server is down (between Crash and Recover) a Client's flush is
-// refused without touching dedup state, the sequence number rolls back, and
-// the records stay buffered; the first flush after recovery packs every
-// refused interval into one frame with a dense sequence number.
-func TestClientPacksAcrossServerDowntime(t *testing.T) {
-	s := NewSharded(1)
-	s.AttachDurability(DurabilityConfig{Disk: storage.NewDisk(storage.Faults{}), SnapshotEvery: -1})
-	c := s.NewClient(2, 4)
-	put := func(lo, hi int, down bool) {
-		t.Helper()
-		for i := lo; i < hi; i++ {
-			err := c.OnSlice(detect.SliceRecord{Sensor: 1, Rank: 2, SliceNs: int64(i), Count: 1, AvgNs: 100})
-			if down && err != nil && !errors.Is(err, ErrServerDown) {
-				t.Fatalf("flush during downtime returned %v, want ErrServerDown", err)
-			}
-			if !down && err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	put(0, 4, false) // batch full: flushed as frame seq 1
-	if err := s.Crash(); err != nil {
-		t.Fatal(err)
-	}
-	put(4, 8, true) // refused: seq rolls back, records stay buffered
-	put(8, 12, true)
-	if err := c.Flush(); !errors.Is(err, ErrServerDown) {
-		t.Fatalf("flush against a down server returned %v, want ErrServerDown", err)
-	}
-	if _, err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Flush(); err != nil { // one packed frame: seq 2, records 4..11
-		t.Fatal(err)
-	}
-	if got := c.PackedFlushes(); got != 1 {
-		t.Errorf("packed flushes = %d, want 1", got)
-	}
-	put(12, 14, false)
-	if err := c.Flush(); err != nil { // ordinary frame: seq 3, records 12..13
-		t.Fatal(err)
-	}
-	cov := s.Coverage()
-	if cov.ExpectedFrames != 3 || cov.IngestedFrames != 3 {
-		t.Errorf("frames expected=%d ingested=%d, want dense seq over 3 frames", cov.ExpectedFrames, cov.IngestedFrames)
-	}
-	if cov.IngestedRecords != 14 || cov.Fraction() != 1 {
-		t.Errorf("coverage = %+v, want all 14 records", cov)
-	}
-	if got := len(s.Records()); got != 14 {
-		t.Errorf("records = %d, want 14", got)
-	}
-}
-
 // Group commit's observability contract: the wal_group_commits_total and
 // wal_coalesced_entries_total counters track the encoder's stats, the
 // wal_flush_bytes and wal_sync_wait_ns histograms see one observation per
@@ -306,7 +251,7 @@ func TestGroupCommitObsMetrics(t *testing.T) {
 	o := obs.New()
 	o.EnableLineage(obs.LineageConfig{SampleEvery: 1}) // trace everything
 	s.SetObs(o)
-	c := s.NewClient(0, 2)
+	c := newTestSender(s, 0, 2)
 	for i := 0; i < 8; i++ {
 		if err := c.OnSlice(detect.SliceRecord{Sensor: 1, Rank: 0, SliceNs: int64(i), Count: 1, AvgNs: 100}); err != nil {
 			t.Fatal(err)
@@ -344,7 +289,7 @@ func TestGroupCommitObsMetrics(t *testing.T) {
 }
 
 // The coalescing encoder's reason to exist: a heartbeat-heavy workload
-// journals at least 5x fewer WAL bytes than the per-op encoder, because a
+// journals at least 5x fewer WAL bytes than per-outcome commits, because a
 // run of same-rank heartbeats costs one count-delta entry.
 func TestCoalescedWALBytesReduction(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

@@ -7,79 +7,19 @@ import (
 	"vsensor/internal/obs"
 )
 
-// The two commit policies behind the WAL append path (wal.go). Both run
-// with d.mu held and share the LSN counter, the entry framing, and the
-// reusable encode buffer on durability.
-//
-// perOpEncoder is the original policy: every delivery outcome is framed
-// and written to the device immediately, synced per SyncEvery. An ack
-// implies the entry is on the device (and, with SyncEvery <= 1, durable).
-//
-// groupEncoder is group commit: encoded entries accumulate in a staging
-// buffer and hit the device as ONE write + ONE sync when the group covers
-// FlushEvery outcomes or FlushBytes bytes. With Coalesce, runs of
+// groupEncoder is the WAL's commit policy (wal.go). It runs with d.mu held
+// and shares the LSN counter, the entry framing, and the reusable encode
+// buffer on durability. Encoded entries accumulate in a staging buffer and
+// hit the device as ONE write + ONE sync when the group covers FlushEvery
+// outcomes or FlushBytes bytes; with FlushEvery 1 every outcome is its own
+// write + sync, so its ack implies it is durable. With Coalesce, runs of
 // heartbeat/dup/checksum/reject outcomes collapse into a single count-delta
 // entry (walKind*N) materialized when the run closes, so steady-state
 // chatter costs O(1) journal bytes. Staged outcomes are acked before they
-// are written: a crash loses the staged tail — the SyncEvery>1 contract —
-// and clients re-send from the recovered LSN.
-
-type perOpEncoder struct {
-	d *durability
-}
-
-func (e *perOpEncoder) frame(ticket uint64, encoded []byte, trace uint64, rank int) error {
-	d := e.d
-	b := d.entryHead(walKindFrame)
-	b = binary.LittleEndian.AppendUint64(b, ticket)
-	b = append(b, encoded...)
-	d.buf = b
-	return d.appendEntry(b, trace, rank)
-}
-
-func (e *perOpEncoder) dup(rank int) error {
-	d := e.d
-	b := d.entryHead(walKindDup)
-	b = binary.LittleEndian.AppendUint32(b, uint32(rank))
-	d.buf = b
-	return d.appendEntry(b, 0, 0)
-}
-
-func (e *perOpEncoder) badFrame(checksum bool) error {
-	d := e.d
-	kind := byte(walKindReject)
-	if checksum {
-		kind = walKindChecksum
-	}
-	b := d.entryHead(kind)
-	d.buf = b
-	return d.appendEntry(b, 0, 0)
-}
-
-func (e *perOpEncoder) heartbeat(rank int, nowNs, leaseNs int64) error {
-	d := e.d
-	b := d.entryHead(walKindHeartbeat)
-	b = binary.LittleEndian.AppendUint32(b, uint32(rank))
-	b = binary.LittleEndian.AppendUint64(b, uint64(nowNs))
-	b = binary.LittleEndian.AppendUint64(b, uint64(leaseNs))
-	d.buf = b
-	return d.appendEntry(b, 0, 0)
-}
-
-// flush: nothing is ever staged — unsynced entries are already on the
-// device and SyncEvery-paced syncs are a deliberate relaxation, not a
-// staging buffer.
-func (e *perOpEncoder) flush() error { return nil }
-
-func (e *perOpEncoder) reset() {}
-
-func (e *perOpEncoder) staged() (int, int64) { return 0, 0 }
-
+// are written: a crash loses the staged tail and clients re-send from the
+// recovered LSN.
 type groupEncoder struct {
-	d          *durability
-	coalesce   bool
-	flushEvery int
-	flushBytes int
+	d *durability
 
 	buf      []byte // framed entries staged for the next commit group
 	entries  int    // finalized entries in buf
@@ -112,8 +52,9 @@ func (e *groupEncoder) stage(payload []byte) {
 }
 
 // closeOpen materializes the open coalesced run, if any, into the staging
-// buffer. A run of one encodes as its legacy kind, so journals stay
-// byte-compatible with per-op segments whenever no run actually formed.
+// buffer. A run of one encodes as its legacy kind, so segments written
+// before coalescing existed still replay, and a journal only uses the
+// N-suffixed kinds where a run actually formed.
 // At close time d.lsn is exactly the LSN of the run's last outcome.
 func (e *groupEncoder) closeOpen() {
 	if e.openKind == 0 {
@@ -164,7 +105,7 @@ func (e *groupEncoder) closeOpen() {
 
 // extendOpen tries to absorb one outcome of base kind into the open run.
 func (e *groupEncoder) extendOpen(kind byte, rank int) bool {
-	if !e.coalesce || e.openKind != kind {
+	if !e.d.cfg.Coalesce || e.openKind != kind {
 		return false
 	}
 	// dup and heartbeat runs are per-rank; checksum/reject runs are global.
@@ -217,7 +158,7 @@ func (e *groupEncoder) dup(rank int) error {
 	e.closeOpen()
 	d.lsn++
 	e.outcomes++
-	if e.coalesce {
+	if e.d.cfg.Coalesce {
 		e.openRun(walKindDup, rank)
 	} else {
 		b := d.entryAt(walKindDup, d.lsn)
@@ -240,7 +181,7 @@ func (e *groupEncoder) badFrame(checksum bool) error {
 	e.closeOpen()
 	d.lsn++
 	e.outcomes++
-	if e.coalesce {
+	if e.d.cfg.Coalesce {
 		e.openRun(kind, 0)
 	} else {
 		b := d.entryAt(kind, d.lsn)
@@ -252,7 +193,7 @@ func (e *groupEncoder) badFrame(checksum bool) error {
 
 func (e *groupEncoder) heartbeat(rank int, nowNs, leaseNs int64) error {
 	d := e.d
-	if e.coalesce && e.openKind == walKindHeartbeat && e.openRank == rank {
+	if e.d.cfg.Coalesce && e.openKind == walKindHeartbeat && e.openRank == rank {
 		// Fold with the same rule receiveHeartbeat applies (liveness.go):
 		// the newest virtual now wins and carries its lease, so replaying
 		// the folded pair once equals replaying the run in order.
@@ -269,7 +210,7 @@ func (e *groupEncoder) heartbeat(rank int, nowNs, leaseNs int64) error {
 	e.closeOpen()
 	d.lsn++
 	e.outcomes++
-	if e.coalesce {
+	if e.d.cfg.Coalesce {
 		e.openRun(walKindHeartbeat, rank)
 		e.openNow, e.openLease = nowNs, leaseNs
 	} else {
@@ -294,7 +235,7 @@ func (e *groupEncoder) stagedBytes() int64 {
 }
 
 func (e *groupEncoder) maybeFlush() error {
-	if e.outcomes >= e.flushEvery || e.stagedBytes() >= int64(e.flushBytes) {
+	if e.outcomes >= e.d.cfg.FlushEvery || e.stagedBytes() >= int64(e.d.cfg.FlushBytes) {
 		return e.flush()
 	}
 	return nil

@@ -1,9 +1,10 @@
-// Package transport is a simulated, fault-injectable link between the
-// per-rank detection clients and the analysis server (paper §5.4). The
-// in-process server.Client assumes a perfect function call; on a real
-// machine the record path crosses a lossy network whose frames are late,
-// lost, duplicated, reordered, or corrupted, and whose receiver stalls and
-// restarts. This package gives the reproduction that production shape:
+// Package transport is the record path between the per-rank detectors and
+// the analysis server (paper §5.4): every instrumented run delivers its
+// records through a Link. With a zero FaultPlan the link is a perfect
+// in-process function call that charges no virtual time; on a real machine
+// the record path crosses a lossy network whose frames are late, lost,
+// duplicated, reordered, or corrupted, and whose receiver stalls and
+// restarts. The fault plan gives the reproduction that production shape:
 //
 //   - A Link wraps the server behind a seeded FaultPlan that drops,
 //     duplicates, reorders, delays, and bit-corrupts frames, and rejects

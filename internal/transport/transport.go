@@ -20,7 +20,7 @@ func nowUnixNs() int64 { return time.Now().UnixNano() }
 // Config tunes the reliable client side of the link.
 type Config struct {
 	// BatchSize is how many records a Conn buffers per frame (default
-	// server.DefaultBatchSize; 1 disables batching).
+	// DefaultBatchSize; 1 disables batching).
 	BatchSize int
 
 	// MaxRetries bounds delivery attempts per frame beyond the first;
@@ -58,6 +58,7 @@ type Config struct {
 
 // Defaults for Config fields left zero.
 const (
+	DefaultBatchSize     = 64
 	DefaultMaxRetries    = 8
 	DefaultTimeoutNs     = 50_000
 	DefaultBackoffBaseNs = 20_000
@@ -68,7 +69,7 @@ const (
 
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
-		c.BatchSize = server.DefaultBatchSize
+		c.BatchSize = DefaultBatchSize
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = DefaultMaxRetries
@@ -94,9 +95,9 @@ func (c Config) withDefaults() Config {
 // Medium is the delivery target behind a Link — whatever one delivery
 // attempt hands an encoded vS* frame to. Receive returns nil when the frame
 // was accepted (the sender's ack) and an error when it was rejected or the
-// receiver is down. The in-process medium is *server.Server; a networked
-// one (internal/netsrv's TCP client link) carries the same bytes over a
-// real socket and maps the session-layer ack back onto this contract.
+// receiver is down. The in-process medium is *server.Server; the networked
+// one (netsrv.ResilientSession) carries the same bytes over a real socket
+// and maps the session-layer ack back onto this contract.
 // Implementations must be safe for concurrent Receives from every rank
 // goroutine sharing the Link.
 type Medium interface {
@@ -113,7 +114,7 @@ type Medium interface {
 // The Link itself is a fault-wrapping proxy over any Medium: the dice roll
 // on the sender's side of the wire, so the same seeded fault schedule
 // applies whether the frames land on an in-process server or cross a real
-// TCP socket (NewLinkOver).
+// TCP socket.
 type Link struct {
 	sink Medium
 	plan FaultPlan
@@ -147,17 +148,12 @@ type Link struct {
 	obsHeartbeats *obs.Counter
 }
 
-// NewLink wraps srv behind plan. A zero plan is a perfect (but still
-// framed, sequenced, and deduplicated) link.
-func NewLink(srv *server.Server, plan FaultPlan) *Link {
-	return &Link{sink: srv, plan: plan}
-}
-
-// NewLinkOver wraps an arbitrary delivery medium behind plan — the fault
-// proxy form. With a networked medium every chaos suite's dice (drop, dup,
-// reorder, corrupt, delay, crash window) applies to real socket traffic
-// exactly as it does to the in-process path.
-func NewLinkOver(m Medium, plan FaultPlan) *Link {
+// NewLink wraps a delivery medium — the in-process *server.Server or a
+// network session — behind plan. A zero plan is a perfect (but still
+// framed, sequenced, and deduplicated) link. With a networked medium every
+// chaos suite's dice (drop, dup, reorder, corrupt, delay, crash window)
+// applies to real socket traffic exactly as it does to the in-process path.
+func NewLink(m Medium, plan FaultPlan) *Link {
 	return &Link{sink: m, plan: plan}
 }
 
@@ -279,7 +275,8 @@ type Conn struct {
 	rank  int
 	cfg   Config
 	clock vm.Clock
-	rng   *rand.Rand
+	seed  int64
+	rng   *rand.Rand // fault dice; created on the first roll (see dice)
 
 	buf []detect.SliceRecord
 	enc []byte // reusable wire buffer
@@ -314,13 +311,22 @@ type Conn struct {
 // (plan.Seed, rank), so each rank's fault schedule is deterministic and
 // independent of goroutine interleaving.
 func (l *Link) NewConn(rank int, cfg Config) *Conn {
-	seed := int64(uint64(l.plan.Seed)*0x9e3779b97f4a7c15 + uint64(rank)*0x100000001b3 + 0x632be5)
 	return &Conn{
 		link: l,
 		rank: rank,
 		cfg:  cfg.withDefaults(),
-		rng:  rand.New(rand.NewSource(seed)),
+		seed: int64(uint64(l.plan.Seed)*0x9e3779b97f4a7c15 + uint64(rank)*0x100000001b3 + 0x632be5),
 	}
+}
+
+// dice returns the conn's fault stream, creating it on first use. Only a
+// plan with a random fault rolls dice, so a zero-plan conn — the default
+// record path, one per rank — never pays for a ~5 KB rand.Source.
+func (c *Conn) dice() *rand.Rand {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(c.seed))
+	}
+	return c.rng
 }
 
 // BindClock attaches the rank's virtual clock (vm.ClockBinder); retry
@@ -525,20 +531,20 @@ func (c *Conn) transmit(frame []byte, maxRetries int) error {
 func (c *Conn) attempt(frame []byte) bool {
 	p := &c.link.plan
 	if p.DelayNs > 0 {
-		c.charge(c.rng.Int63n(p.DelayNs + 1))
+		c.charge(c.dice().Int63n(p.DelayNs + 1))
 	}
-	if p.Drop > 0 && c.rng.Float64() < p.Drop {
+	if p.Drop > 0 && c.dice().Float64() < p.Drop {
 		c.link.obsDropped.Inc()
 		return false
 	}
 	var corrupt []byte
-	if p.Corrupt > 0 && c.rng.Float64() < p.Corrupt {
+	if p.Corrupt > 0 && c.dice().Float64() < p.Corrupt {
 		corrupt = append([]byte(nil), frame...)
-		bit := c.rng.Intn(len(corrupt) * 8)
+		bit := c.dice().Intn(len(corrupt) * 8)
 		corrupt[bit/8] ^= 1 << (bit % 8)
 	}
-	dup := p.Dup > 0 && c.rng.Float64() < p.Dup
-	reorder := p.Reorder > 0 && c.rng.Float64() < p.Reorder
+	dup := p.Dup > 0 && c.dice().Float64() < p.Dup
+	reorder := p.Reorder > 0 && c.dice().Float64() < p.Reorder
 	return c.link.deliver(c, frame, corrupt, dup, reorder)
 }
 

@@ -54,9 +54,9 @@ func TestListenModeMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if networked.Service == nil || networked.Session == nil || networked.Link == nil {
+	if networked.Service == nil || networked.Resilient == nil || networked.Link == nil {
 		t.Fatalf("Listen run missing net plumbing: service=%v session=%v link=%v",
-			networked.Service, networked.Session, networked.Link)
+			networked.Service, networked.Resilient, networked.Link)
 	}
 	if networked.Service.Tenant("listen-mode") != networked.Server {
 		t.Fatal("service tenant is not the run's server")
@@ -104,8 +104,11 @@ func TestConnectModeDeliversToRemoteService(t *testing.T) {
 	if rep.Server != nil {
 		t.Fatal("Connect run should have no local server")
 	}
-	if rep.Session == nil || rep.Link == nil {
+	if rep.Resilient == nil || rep.Link == nil {
 		t.Fatal("Connect run missing session/link")
+	}
+	if st := rep.Resilient.Stats(); st.DialAttempts != 1 || st.Reconnects != 0 || st.LSN == 0 {
+		t.Fatalf("Connect run without Reconnect: session ledger %+v, want one dial and acked frames", st)
 	}
 	if rep.DataVolume() != 0 || rep.Snapshot() != nil {
 		t.Fatal("local read surface should be empty in Connect mode")
@@ -145,9 +148,9 @@ func TestReconnectModeMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if networked.Resilient == nil || networked.Session != nil || networked.Link == nil {
-		t.Fatalf("Reconnect run plumbing wrong: resilient=%v session=%v link=%v",
-			networked.Resilient, networked.Session, networked.Link)
+	if networked.Resilient == nil || networked.Link == nil {
+		t.Fatalf("Reconnect run plumbing wrong: resilient=%v link=%v",
+			networked.Resilient, networked.Link)
 	}
 	got, want := sortedRecords(networked.Server.Records()), sortedRecords(direct.Server.Records())
 	if len(got) != len(want) {
@@ -207,8 +210,8 @@ func TestReconnectConnectModeDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Server != nil || rep.Session != nil {
-		t.Fatal("Connect+Reconnect run should have neither local server nor plain session")
+	if rep.Server != nil {
+		t.Fatal("Connect+Reconnect run should have no local server")
 	}
 	if rep.Resilient == nil || rep.Link == nil {
 		t.Fatal("Connect+Reconnect run missing resilient session/link")
@@ -295,11 +298,6 @@ func TestNetworkedOptionValidation(t *testing.T) {
 		Ranks: 2, Reconnect: &netsrv.ReconnectConfig{},
 	}); err == nil || !strings.Contains(err.Error(), "Reconnect") {
 		t.Errorf("Reconnect without network error = %v", err)
-	}
-	if _, err := vsensor.Run(netTestSrc, vsensor.Options{
-		Ranks: 2, DialRetry: &netsrv.RetryPolicy{},
-	}); err == nil || !strings.Contains(err.Error(), "DialRetry") {
-		t.Errorf("DialRetry without Connect error = %v", err)
 	}
 	// A refused/unreachable dial is an error, not a hang.
 	if _, err := vsensor.Run(netTestSrc, vsensor.Options{

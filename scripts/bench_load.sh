@@ -1,6 +1,7 @@
 #!/bin/sh
 # Durable-ingest load benchmarks: the identical pre-encoded workload driven
-# through the per-op, group-commit, and coalesced WAL encoders at
+# through the WAL with a commit per outcome (per-op), with group commit, and
+# with coalescing at
 # 64/512/4096 ranks with a modeled device fsync latency. Writes the results
 # to BENCH_load.json (or $1) via the unit-aware bench_json renderer, so
 # records/s, wal_B/s, syncs/s, and p95_ns survive as JSON columns.

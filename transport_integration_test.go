@@ -74,22 +74,48 @@ func TestPipelineOverLossyTransport(t *testing.T) {
 	}
 }
 
-// The default path (no Faults, no Transport) must not create a link — it is
-// the bit-identical direct delivery that TestEngineInvariance pins.
-func TestDefaultPathHasNoLink(t *testing.T) {
-	rep, err := vsensor.Run(lossySrc, vsensor.Options{Ranks: 4})
+// The default path (no Faults, no Transport) delivers through a zero-fault
+// Link: complete coverage, exactly one link attempt per ingested frame, and
+// no Conn ever retries or waits. A retry or wait would charge its rank's
+// virtual clock, so the default run must match, rank by rank, a run whose
+// ack timeout alone is longer than the whole job.
+func TestDefaultPathZeroFaultLink(t *testing.T) {
+	o := obs.New()
+	rep, err := vsensor.Run(lossySrc, vsensor.Options{Ranks: 4, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Link != nil {
-		t.Error("direct path created a transport link")
+	if rep.Link == nil || !rep.Link.Plan().Zero() {
+		t.Fatalf("default path link = %v, want a zero-fault link", rep.Link)
 	}
-	if cov := rep.Coverage(); !cov.Complete() {
-		t.Errorf("direct path coverage = %+v", cov)
+	cov := rep.Coverage()
+	if !cov.Complete() || cov.IngestedFrames == 0 {
+		t.Fatalf("default path coverage = %+v", cov)
+	}
+	if got := rep.Link.Attempts(); got != cov.IngestedFrames {
+		t.Errorf("link attempts = %d, want one per ingested frame (%d)", got, cov.IngestedFrames)
+	}
+	if got := o.Counter("transport_retries_total").Value(); got != 0 {
+		t.Errorf("default path retried %d times", got)
+	}
+	const timeout = int64(1e12)
+	slow, err := vsensor.Run(lossySrc, vsensor.Options{
+		Ranks: 4, Transport: &transport.Config{TimeoutNs: timeout},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slow.Result.TotalNs >= timeout {
+		t.Fatalf("a conn waited out a %d ns timeout: run took %d ns", timeout, slow.Result.TotalNs)
+	}
+	for i, r := range rep.Result.Ranks {
+		if got := slow.Result.Ranks[i].Total; got != r.Total {
+			t.Errorf("rank %d: virtual time %d ns, %d ns with a huge ack timeout — a conn waited", i, r.Total, got)
+		}
 	}
 }
 
-// An explicit Transport config without faults routes through the link too
+// An explicit Transport config without faults tunes the same perfect link
 // (production-shaped path over a perfect network).
 func TestTransportConfigWithoutFaults(t *testing.T) {
 	rep, err := vsensor.Run(lossySrc, vsensor.Options{

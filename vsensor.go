@@ -66,8 +66,8 @@ type Options struct {
 	// (baseline runs for overhead measurements).
 	Uninstrumented bool
 
-	// BatchSize is the analysis-server client batch (default 64; 1
-	// disables batching).
+	// BatchSize is how many records each rank's emitter ships per frame
+	// (default 64; 1 disables batching).
 	BatchSize int
 
 	// ServerShards is the analysis server's ingest shard count (rounded up
@@ -76,15 +76,14 @@ type Options struct {
 	// more concurrently ingesting ranks.
 	ServerShards int
 
-	// Transport tunes the reliable record link to the analysis server
-	// (retry, backoff, retransmit buffer). Nil with Faults nil keeps the
-	// direct in-process delivery path.
+	// Transport tunes the record link every rank delivers through (retry,
+	// backoff, retransmit buffer, liveness lease). Nil uses the defaults.
 	Transport *transport.Config
 
 	// Faults injects transport faults (drop/dup/reorder/delay/corrupt and
-	// server crash-restart) on the record link. Setting it routes every
-	// rank's records through internal/transport; retry and backoff delays
-	// are charged to the ranks' virtual clocks.
+	// server crash-restart) on the record link; retry and backoff delays
+	// are charged to the ranks' virtual clocks. Nil is a perfect link that
+	// charges no virtual time.
 	Faults *transport.FaultPlan
 
 	// RunID names this run on a networked session (Listen or Connect
@@ -109,22 +108,16 @@ type Options struct {
 	// Mutually exclusive with Listen.
 	Connect string
 
-	// Reconnect enables the self-healing network session (requires Listen
-	// or Connect): the record path runs over a netsrv.ResilientSession
-	// that auto-redials on connection loss with jittered exponential
-	// backoff, honors vSE1 retry-after hints, and resumes delivery at the
-	// durable LSN from the session ack. Only the Dial and Retry fields are
-	// consulted — Addr and Hello are filled from Listen/Connect and RunID.
-	// Report.Resilient exposes the session and its reconnect ledger.
+	// Reconnect makes the network session self-healing (requires Listen
+	// or Connect): it auto-redials on connection loss with jittered
+	// exponential backoff and resumes delivery at the durable LSN from the
+	// session ack. Only the Dial and Retry fields are consulted — Addr and
+	// Hello are filled from Listen/Connect and RunID, and Retry.NetErrors
+	// is forced on. Nil runs the same session with a zero outage budget:
+	// the first dial still honors vSE1 retry-after hints within the
+	// default budget, but network errors are final, and a connection that
+	// breaks mid-run surfaces as server.ErrServerDown on the record link.
 	Reconnect *netsrv.ReconnectConfig
-
-	// DialRetry shapes the initial Connect-mode dial when Reconnect is
-	// nil: transient vSE1 refusals (busy, session cap, shutdown) sleep the
-	// server's retry-after hint and try again within the policy budget
-	// instead of failing the run on the first refusal. Nil uses the
-	// default policy (10s budget, fail-fast on network errors). Requires
-	// Connect.
-	DialRetry *netsrv.RetryPolicy
 
 	// Durability attaches the analysis server's WAL + snapshot layer
 	// (internal/storage-backed). With it, the Faults crash window becomes a
@@ -191,10 +184,9 @@ type Report struct {
 	Analysis     *analysis.Result
 	Instrumented *instrument.Instrumented // nil for uninstrumented runs
 	Result       *vm.Result
-	Server       *server.Server   // nil in Connect mode: the run's server lives on the remote service
-	Link         *transport.Link  // non-nil when the run used the fault-injectable transport
-	Session      *netsrv.Session          // non-nil in Listen/Connect mode without Reconnect: the run's TCP session
-	Resilient    *netsrv.ResilientSession // non-nil when Options.Reconnect routed the run through the self-healing session
+	Server       *server.Server           // nil in Connect mode: the run's server lives on the remote service
+	Link         *transport.Link          // the record link every rank delivered through; nil for uninstrumented runs
+	Resilient    *netsrv.ResilientSession // non-nil in Listen/Connect mode: the run's network session (self-healing with Options.Reconnect)
 	Service      *netsrv.Service          // non-nil in Listen mode: the in-process listener the run fed
 	Detectors    []*detect.Detector
 	Records      []vm.Record // raw sensor records if collected
@@ -305,9 +297,6 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 		if opt.Reconnect != nil && opt.Listen == "" && opt.Connect == "" {
 			return nil, fmt.Errorf("vsensor: Options.Reconnect needs a networked session (set Listen or Connect)")
 		}
-		if opt.DialRetry != nil && opt.Connect == "" {
-			return nil, fmt.Errorf("vsensor: Options.DialRetry shapes the Connect-mode dial (set Connect, or use Reconnect)")
-		}
 		runID := opt.RunID
 		if runID == "" {
 			runID = "local"
@@ -326,61 +315,33 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 		// netsrv service and its server becomes the tenant; in Connect mode
 		// the tenant lives on an external `vsensor serve`. Either way the
 		// session is the delivery Medium, so every frame crosses the real
-		// wire protocol.
-		switch {
-		case opt.Listen != "":
-			svc, err := netsrv.Listen(opt.Listen, netsrv.Config{
-				Shards:    opt.ServerShards,
-				NewServer: func(string) *server.Server { return rep.Server },
-			})
-			if err != nil {
-				return nil, err
-			}
-			if o != nil {
-				svc.SetObs(o)
-			}
-			if opt.Reconnect != nil {
-				rs, err := dialResilient(opt, svc.Addr().String(), runID, o)
-				if err != nil {
-					svc.Close()
-					return nil, err
-				}
-				rep.Service, rep.Resilient = svc, rs
-				break
-			}
-			sess, err := netsrv.Dial(svc.Addr().String(), netsrv.Hello{RunID: runID}, netsrv.DialConfig{})
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			rep.Service, rep.Session = svc, sess
-		case opt.Connect != "":
-			if opt.Reconnect != nil {
-				rs, err := dialResilient(opt, opt.Connect, runID, o)
+		// wire protocol. Otherwise the run's own server is the Medium.
+		var medium transport.Medium = rep.Server
+		if opt.Listen != "" || opt.Connect != "" {
+			addr := opt.Connect
+			if opt.Listen != "" {
+				svc, err := netsrv.Listen(opt.Listen, netsrv.Config{
+					Shards:    opt.ServerShards,
+					NewServer: func(string) *server.Server { return rep.Server },
+				})
 				if err != nil {
 					return nil, err
 				}
-				rep.Resilient = rs
-				break
+				if o != nil {
+					svc.SetObs(o)
+				}
+				rep.Service, addr = svc, svc.Addr().String()
 			}
-			// Without the full self-healing wrapper, the initial dial still
-			// honors vSE1 retry-after hints on transient refusals (busy,
-			// session cap, shutdown) within a bounded budget, instead of
-			// exiting on the first refusal from a momentarily full service.
-			policy := netsrv.RetryPolicy{Seed: opt.Seed}
-			if opt.DialRetry != nil {
-				policy = *opt.DialRetry
-			}
-			sess, _, err := netsrv.DialRetry(opt.Connect, netsrv.Hello{RunID: runID}, netsrv.DialConfig{}, policy)
+			rs, err := dialSession(opt, addr, runID, o)
 			if err != nil {
+				if rep.Service != nil {
+					rep.Service.Close()
+				}
 				return nil, err
 			}
-			rep.Session = sess
+			rep.Resilient, medium = rs, rs
 		}
 		defer func() {
-			if rep.Session != nil {
-				_ = rep.Session.Close()
-			}
 			if rep.Resilient != nil {
 				_ = rep.Resilient.Close()
 			}
@@ -389,33 +350,23 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 			}
 		}()
 
-		// The record path: direct in-process delivery by default, or the
-		// fault-injectable transport link when Options.Faults/Transport
-		// ask for the production-shaped path. A networked session always
-		// routes through the link — it is the Medium the link delivers on.
-		if opt.Faults != nil || opt.Transport != nil || rep.Session != nil || rep.Resilient != nil {
-			plan := transport.FaultPlan{}
-			if opt.Faults != nil {
-				plan = *opt.Faults
-			}
-			switch {
-			case rep.Resilient != nil:
-				rep.Link = transport.NewLinkOver(rep.Resilient, plan)
-			case rep.Session != nil:
-				rep.Link = transport.NewLinkOver(rep.Session, plan)
-			default:
-				rep.Link = transport.NewLink(rep.Server, plan)
-			}
-			rep.Link.SetObs(o)
-			if opt.Durability != nil && rep.Server != nil {
-				// A durable server makes the crash window stateful: entering
-				// it wipes the server, leaving it runs WAL recovery.
-				srv := rep.Server
-				rep.Link.SetCrashHooks(
-					func() { _ = srv.Crash() },
-					func() { _, _ = srv.Recover() },
-				)
-			}
+		// Every rank delivers through one Link. A zero fault plan charges
+		// no virtual time, so the default path is a perfect function call
+		// into the Medium.
+		plan := transport.FaultPlan{}
+		if opt.Faults != nil {
+			plan = *opt.Faults
+		}
+		rep.Link = transport.NewLink(medium, plan)
+		rep.Link.SetObs(o)
+		if opt.Durability != nil && rep.Server != nil {
+			// A durable server makes the crash window stateful: entering
+			// it wipes the server, leaving it runs WAL recovery.
+			srv := rep.Server
+			rep.Link.SetCrashHooks(
+				func() { _ = srv.Crash() },
+				func() { _, _ = srv.Recover() },
+			)
 		}
 		tcfg := transport.Config{}
 		if opt.Transport != nil {
@@ -430,18 +381,13 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 			meta[i] = detect.Sensor{ID: s.ID, Type: s.Type, ProcessFixed: s.ProcessFixed, Name: s.Name}
 		}
 		rep.Detectors = make([]*detect.Detector, opt.Ranks)
-		emitters := make([]detect.Emitter, opt.Ranks)
+		conns := make([]*transport.Conn, opt.Ranks)
 		vcfg.SinkFactory = func(rank int) vm.Sink {
-			var emitter detect.Emitter
-			if rep.Link != nil {
-				emitter = rep.Link.NewConn(rank, tcfg)
-			} else {
-				emitter = rep.Server.NewClient(rank, opt.BatchSize)
-			}
-			d := detect.New(rank, meta, opt.Detect, emitter)
+			conn := rep.Link.NewConn(rank, tcfg)
+			d := detect.New(rank, meta, opt.Detect, conn)
 			mu.Lock()
 			rep.Detectors[rank] = d
-			emitters[rank] = emitter
+			conns[rank] = conn
 			mu.Unlock()
 			if !opt.CollectRecords {
 				return d
@@ -458,12 +404,9 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 					d.Finish()
 				}
 			}
-			for _, e := range emitters {
-				switch em := e.(type) {
-				case *transport.Conn:
-					_ = em.Close() // loss is visible in Server.Coverage
-				case *server.Client:
-					_ = em.Flush()
+			for _, c := range conns {
+				if c != nil {
+					_ = c.Close() // loss is visible in Server.Coverage
 				}
 			}
 		}()
@@ -590,12 +533,17 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// dialResilient builds the self-healing session from Options.Reconnect:
-// the facade owns the address and run identity, so only the Dial/Retry
-// knobs of the caller's config are consulted. The retry seed defaults to
-// the run seed, keeping backoff jitter reproducible with everything else.
-func dialResilient(opt Options, addr, runID string, o *obs.Obs) (*netsrv.ResilientSession, error) {
-	rc := *opt.Reconnect
+// dialSession opens the run's network session on addr. The facade owns
+// the address and run identity, so only the Dial/Retry knobs of
+// Options.Reconnect are consulted; with Reconnect nil the session runs
+// with a zero outage budget (no NetErrors). The retry seed defaults to the
+// run seed, keeping backoff jitter reproducible with everything else.
+func dialSession(opt Options, addr, runID string, o *obs.Obs) (*netsrv.ResilientSession, error) {
+	var rc netsrv.ReconnectConfig
+	if opt.Reconnect != nil {
+		rc = *opt.Reconnect
+		rc.Retry.NetErrors = true
+	}
 	rc.Addr = addr
 	rc.Hello = netsrv.Hello{RunID: runID}
 	if rc.Retry.Seed == 0 {
@@ -688,9 +636,9 @@ func (r *Report) DataVolume() int64 {
 }
 
 // Coverage returns the analysis server's delivery coverage: how completely
-// its record log reflects what the ranks sent. On the direct in-process
-// path it is always complete; under a faulty transport it quantifies what
-// was lost to backpressure.
+// its record log reflects what the ranks sent. Over a zero-fault link it is
+// always complete; under a faulty transport it quantifies what was lost to
+// backpressure.
 func (r *Report) Coverage() server.Coverage {
 	if r.Server == nil {
 		return server.Coverage{}
