@@ -70,10 +70,10 @@ bench-obs:
 	    -benchmem -benchtime 2s ./internal/obs
 
 # VM execution-engine benchmarks (variable access, interpreter hot loop,
-# end-to-end instrumented rank run); scripts/check.sh writes the same set
+# instrumented 4-rank toy program); scripts/check.sh writes the same set
 # to BENCH_vm.json for regression tracking across PRs.
 bench-vm:
-	$(GO) test -run '^$$' -bench 'BenchmarkVarAccess$$|BenchmarkInterpHotLoop$$|BenchmarkRankRunE2E$$' \
+	$(GO) test -run '^$$' -bench 'BenchmarkVarAccess$$|BenchmarkInterpHotLoop$$|BenchmarkRankRunToy$$' \
 	    -benchmem -benchtime 2s ./internal/vm
 
 # Record-transport benchmarks (frame codec, fault-free and faulty flush

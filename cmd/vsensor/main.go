@@ -373,9 +373,7 @@ func main() {
 func doServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:0", "TCP address to listen on")
-	minWorkers := fs.Int("min-workers", 0, "worker-pool floor (0 = default 1)")
-	maxWorkers := fs.Int("max-workers", 0, "worker-pool ceiling; connections beyond queue+pool are refused with vSE1 busy (0 = default 8)")
-	acceptQueue := fs.Int("accept-queue", 0, "bounded accept queue depth; a full queue sheds with an explicit refusal (0 = default 64)")
+	maxConns := fs.Int("max-conns", 0, "connections handled at once; one more is refused with vSE1 busy (0 = default 72)")
 	maxRuns := fs.Int("max-runs", 0, "concurrent run (tenant) cap (0 = unlimited)")
 	maxRunSessions := fs.Int("max-run-sessions", 0, "concurrent sessions per run (0 = unlimited)")
 	retryAfterMs := fs.Int("retry-after-ms", 0, "retry-after hint carried in vSE1 busy refusals, milliseconds (0 = default 50)")
@@ -387,8 +385,7 @@ func doServe(args []string) {
 		fatal(fmt.Errorf("serve takes no positional arguments (got %q)", fs.Args()))
 	}
 	for name, v := range map[string]int{
-		"-min-workers": *minWorkers, "-max-workers": *maxWorkers,
-		"-accept-queue": *acceptQueue, "-max-runs": *maxRuns,
+		"-max-conns": *maxConns, "-max-runs": *maxRuns,
 		"-max-run-sessions": *maxRunSessions, "-retry-after-ms": *retryAfterMs,
 		"-server-shards": *shards,
 	} {
@@ -400,9 +397,7 @@ func doServe(args []string) {
 		fatal(fmt.Errorf("bad -idle-timeout %s: cannot be negative", *idleTimeout))
 	}
 	svc, err := netsrv.Listen(*listen, netsrv.Config{
-		MinWorkers:     *minWorkers,
-		MaxWorkers:     *maxWorkers,
-		AcceptQueue:    *acceptQueue,
+		MaxConns:       *maxConns,
 		MaxRuns:        *maxRuns,
 		MaxRunSessions: *maxRunSessions,
 		RetryAfterMs:   uint32(*retryAfterMs),

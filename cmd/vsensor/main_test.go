@@ -218,8 +218,8 @@ func TestFlagParsing(t *testing.T) {
 			wantStderr: "no positional arguments",
 		},
 		{
-			name:       "serve with negative workers",
-			args:       []string{"serve", "-max-workers", "-3"},
+			name:       "serve with negative max-conns",
+			args:       []string{"serve", "-max-conns", "-3"},
 			wantCode:   1,
 			wantStderr: "cannot be negative",
 		},
@@ -367,7 +367,7 @@ func TestRunGroupCommitEndToEnd(t *testing.T) {
 // remote delivery instead of a local server summary, and an interrupt
 // shuts the service down cleanly with a session-count summary.
 func TestServeConnectEndToEnd(t *testing.T) {
-	srv := exec.Command(os.Args[0], "serve", "-listen", "127.0.0.1:0", "-max-workers", "4")
+	srv := exec.Command(os.Args[0], "serve", "-listen", "127.0.0.1:0", "-max-conns", "4")
 	srv.Env = append(os.Environ(), "VSENSOR_TEST_MAIN=1")
 	stdoutPipe, err := srv.StdoutPipe()
 	if err != nil {

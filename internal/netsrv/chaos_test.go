@@ -91,7 +91,7 @@ func TestSocketChaosExactlyOnce(t *testing.T) {
 				CrashAfterFrames: 60, CrashDownFrames: 20,
 			}
 
-			svc, err := Listen("127.0.0.1:0", Config{Shards: 1, MaxWorkers: 4})
+			svc, err := Listen("127.0.0.1:0", Config{Shards: 1, MaxConns: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -252,7 +252,7 @@ func TestSocketKillRecoverConformance(t *testing.T) {
 			// test keeps the pointer so it can crash it mid-stream.
 			var dur *server.Server
 			svc, err := Listen("127.0.0.1:0", Config{
-				MaxWorkers: 4,
+				MaxConns: 4,
 				NewServer: func(runID string) *server.Server {
 					dur = server.NewSharded(shards)
 					// A group draw <= 1 without coalescing commits every

@@ -16,7 +16,8 @@ import (
 // to an isolated single-run server fed the same schedule. Tenancy is an
 // addressing layer, never an approximation: no cross-run bleed in records,
 // coverage, or outlier verdicts, no matter how sessions interleave on the
-// accept queue and worker pool, and no matter who polls /status meanwhile.
+// listener's connection goroutines, and no matter who polls /status
+// meanwhile.
 func TestMultiTenantDifferentialConformance(t *testing.T) {
 	const trials = 10
 	for trial := 0; trial < trials; trial++ {
@@ -54,7 +55,7 @@ func TestMultiTenantDifferentialConformance(t *testing.T) {
 
 			// One listener, N concurrent tenant sessions.
 			o := obs.New()
-			svc, err := Listen("127.0.0.1:0", Config{Shards: shards, MaxWorkers: runs + 2})
+			svc, err := Listen("127.0.0.1:0", Config{Shards: shards, MaxConns: runs + 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,7 +56,7 @@ func TestProxyChaosExactlyOnce(t *testing.T) {
 	for _, seed := range []int64{3, 17, 59} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			svc, err := Listen("127.0.0.1:0", Config{
-				Shards: 1, MaxWorkers: 4,
+				Shards: 1, MaxConns: 4,
 				IdleSession:  2 * time.Second,
 				WriteTimeout: 2 * time.Second,
 			})
@@ -172,7 +172,7 @@ func TestProxyKillRecoverConformance(t *testing.T) {
 
 			var dur *server.Server
 			svc, err := Listen("127.0.0.1:0", Config{
-				MaxWorkers:   4,
+				MaxConns:     4,
 				IdleSession:  500 * time.Millisecond,
 				WriteTimeout: time.Second,
 				NewServer: func(runID string) *server.Server {

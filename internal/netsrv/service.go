@@ -21,19 +21,13 @@ import (
 const MaxEnvelopeBytes = 64 << 20
 
 // Config shapes a Service. The zero value is usable: defaults fill in a
-// single-shard tenant factory and a small worker pool.
+// single-shard tenant factory and a connection cap.
 type Config struct {
-	// MinWorkers and MaxWorkers bound the session worker pool. The pool
-	// holds MinWorkers goroutines when idle and grows toward MaxWorkers
-	// while the accept queue has depth. Defaults: 1 and 8.
-	MinWorkers int
-	MaxWorkers int
-
-	// AcceptQueue bounds connections waiting for a worker. A connection
-	// arriving to a full queue is shed: it gets an explicit vSE1 busy
-	// reply with RetryAfterMs and is closed — never silently dropped.
-	// Default 64.
-	AcceptQueue int
+	// MaxConns caps the connections handled at once, each on its own
+	// goroutine from accept to hang-up. A connection arriving with every
+	// slot taken is shed: it gets an explicit vSE1 busy reply with
+	// RetryAfterMs and is closed — never silently dropped. Default 72.
+	MaxConns int
 
 	// MaxRuns caps concurrent runs (tenants); 0 means unlimited.
 	MaxRuns int
@@ -45,18 +39,14 @@ type Config struct {
 	// Default 50.
 	RetryAfterMs uint32
 
-	// IdleWorker is how long a worker above MinWorkers waits for a
-	// connection before retiring. Default 200ms.
-	IdleWorker time.Duration
-
 	// HelloTimeout bounds how long an accepted connection may dawdle
 	// before completing its vSS1 hello. Default 5s.
 	HelloTimeout time.Duration
 
 	// WriteTimeout is the deadline armed before every ack-bearing flush
 	// (session ack, frame acks, refusals): a peer that stops reading
-	// cannot pin a worker once the socket buffers fill. Default 5s;
-	// negative disables.
+	// cannot pin a connection slot once the socket buffers fill. Default
+	// 5s; negative disables.
 	WriteTimeout time.Duration
 
 	// IdleSession, when positive, is the dead-peer reaper: an admitted
@@ -83,25 +73,11 @@ type Config struct {
 }
 
 func (c *Config) fillDefaults() {
-	if c.MinWorkers <= 0 {
-		c.MinWorkers = 1
-	}
-	if c.MaxWorkers < c.MinWorkers {
-		if c.MaxWorkers <= 0 {
-			c.MaxWorkers = 8
-		}
-		if c.MaxWorkers < c.MinWorkers {
-			c.MaxWorkers = c.MinWorkers
-		}
-	}
-	if c.AcceptQueue <= 0 {
-		c.AcceptQueue = 64
+	if c.MaxConns <= 0 {
+		c.MaxConns = 72
 	}
 	if c.RetryAfterMs == 0 {
 		c.RetryAfterMs = 50
-	}
-	if c.IdleWorker <= 0 {
-		c.IdleWorker = 200 * time.Millisecond
 	}
 	if c.HelloTimeout <= 0 {
 		c.HelloTimeout = 5 * time.Second
@@ -116,11 +92,11 @@ func (c *Config) fillDefaults() {
 
 // Stats is a point-in-time snapshot of service counters; every refused
 // connection shows up in exactly one Refused* bucket, so
-// Accepted == handled + queued + sum(Refused*) at all times — the
-// "never a silent drop" ledger.
+// Accepted == handled + sum(Refused*) at all times — the "never a silent
+// drop" ledger.
 type Stats struct {
 	Accepted         int64 // connections the listener accepted
-	Shed             int64 // refused with vSE1 busy (accept queue full)
+	Shed             int64 // refused with vSE1 busy (all MaxConns slots taken)
 	RefusedSessions  int64 // refused: per-run session cap
 	RefusedRuns      int64 // refused: run (tenant) cap
 	RefusedBadHello  int64 // refused: malformed/unsupported hello
@@ -128,8 +104,6 @@ type Stats struct {
 	Sessions         int64 // sessions ever admitted
 	SessionsOpen     int64 // sessions currently streaming
 	Runs             int64 // live tenants
-	Workers          int64 // current pool size
-	PeakWorkers      int64 // high-water pool size
 	FramesIn         int64 // data envelopes delivered to tenant servers
 	FramesRejected   int64 // data envelopes acked with frameAckReject
 	FramesDown       int64 // data envelopes acked with frameAckDown
@@ -149,16 +123,14 @@ type Service struct {
 	cfg Config
 	ln  net.Listener
 
-	queue      chan net.Conn
+	slots      chan struct{} // one token per connection being handled
 	acceptDone chan struct{}
 	closed     atomic.Bool
-	wg         sync.WaitGroup // workers
+	wg         sync.WaitGroup // connection handlers
 
-	mu      sync.Mutex
-	runs    map[string]*tenant
-	conns   map[net.Conn]struct{}
-	workers int
-	peak    int64
+	mu    sync.Mutex
+	runs  map[string]*tenant
+	conns map[net.Conn]bool // value: admitted (hello parsed)
 
 	accepted        atomic.Int64
 	shed            atomic.Int64
@@ -189,11 +161,10 @@ type obsHandles struct {
 	reaped   *obs.Counter
 	sessions *obs.Gauge
 	runs     *obs.Gauge
-	workers  *obs.Gauge
 }
 
-// Listen binds addr (e.g. "127.0.0.1:0"), starts the accept loop and the
-// minimum worker pool, and returns the running service.
+// Listen binds addr (e.g. "127.0.0.1:0"), starts the accept loop, and
+// returns the running service.
 func Listen(addr string, cfg Config) (*Service, error) {
 	cfg.fillDefaults()
 	ln, err := net.Listen("tcp", addr)
@@ -203,13 +174,10 @@ func Listen(addr string, cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:        cfg,
 		ln:         ln,
-		queue:      make(chan net.Conn, cfg.AcceptQueue),
+		slots:      make(chan struct{}, cfg.MaxConns),
 		acceptDone: make(chan struct{}),
 		runs:       make(map[string]*tenant),
-		conns:      make(map[net.Conn]struct{}),
-	}
-	for i := 0; i < cfg.MinWorkers; i++ {
-		s.spawnWorkerLocked()
+		conns:      make(map[net.Conn]bool),
 	}
 	go s.acceptLoop()
 	return s, nil
@@ -229,7 +197,6 @@ func (s *Service) SetObs(o *obs.Obs) {
 		reaped:   o.Counter("net_sessions_reaped_total"),
 		sessions: o.Gauge("net_sessions_open"),
 		runs:     o.Gauge("net_runs"),
-		workers:  o.Gauge("net_workers"),
 	})
 }
 
@@ -244,8 +211,6 @@ func (s *Service) metrics() *obsHandles {
 // Stats snapshots the counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	workers := int64(s.workers)
-	peak := s.peak
 	runs := int64(len(s.runs))
 	s.mu.Unlock()
 	return Stats{
@@ -258,8 +223,6 @@ func (s *Service) Stats() Stats {
 		Sessions:         s.sessions.Load(),
 		SessionsOpen:     s.sessionsOpen.Load(),
 		Runs:             runs,
-		Workers:          workers,
-		PeakWorkers:      peak,
 		FramesIn:         s.framesIn.Load(),
 		FramesRejected:   s.framesRejected.Load(),
 		FramesDown:       s.framesDown.Load(),
@@ -281,8 +244,6 @@ func (s *Service) StatusMap() map[string]any {
 		"sessions":          st.Sessions,
 		"sessions_open":     st.SessionsOpen,
 		"runs":              st.Runs,
-		"workers":           st.Workers,
-		"peak_workers":      st.PeakWorkers,
 		"frames_in":         st.FramesIn,
 		"frames_rejected":   st.FramesRejected,
 		"frames_down":       st.FramesDown,
@@ -314,31 +275,27 @@ func (s *Service) RunIDs() []string {
 	return ids
 }
 
-// Close stops the listener, refuses everything still queued (vSE1
-// shutdown — even at teardown nothing is silently dropped), closes active
-// session connections, and waits for the pool to drain.
+// Close stops the listener, refuses every connection that has not
+// finished its hello (vSE1 shutdown — even at teardown nothing is silently
+// dropped), closes admitted session connections, and waits for every
+// handler to return.
 func (s *Service) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
 	err := s.ln.Close()
 	<-s.acceptDone
-	// The accept loop has exited, so nothing enqueues after this drain.
-	for {
-		select {
-		case c := <-s.queue:
-			s.refusedShutdown.Add(1)
-			s.metrics().refused.Inc()
-			s.writeRefuse(c, RefuseShutdown)
-		default:
-			close(s.queue)
-			goto drained
-		}
-	}
-drained:
+	// The accept loop has exited and track refuses once closed is set, so
+	// no handler joins conns after this sweep. An expired read deadline
+	// wakes a handler still waiting on its hello; it answers
+	// RefuseShutdown.
 	s.mu.Lock()
-	for c := range s.conns {
-		_ = c.Close()
+	for c, admitted := range s.conns {
+		if admitted {
+			_ = c.Close()
+		} else {
+			_ = c.SetReadDeadline(time.Unix(1, 0))
+		}
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
@@ -355,10 +312,11 @@ func (s *Service) acceptLoop() {
 		s.accepted.Add(1)
 		s.metrics().accepted.Inc()
 		select {
-		case s.queue <- c:
-			s.maybeGrow()
+		case s.slots <- struct{}{}:
+			s.wg.Add(1)
+			go s.handleConn(c)
 		default:
-			// Load shed: the queue is full. Tell the client explicitly
+			// Load shed: every slot is taken. Tell the client explicitly
 			// and hint a backoff; the write happens off the accept loop
 			// so a slow refused peer cannot stall admission.
 			s.shed.Add(1)
@@ -368,68 +326,34 @@ func (s *Service) acceptLoop() {
 	}
 }
 
-// maybeGrow adds a worker while there is backlog and headroom.
-func (s *Service) maybeGrow() {
-	if len(s.queue) == 0 {
-		return
-	}
-	s.mu.Lock()
-	if s.workers < s.cfg.MaxWorkers {
-		s.spawnWorkerLocked()
-	}
-	s.mu.Unlock()
-}
-
-func (s *Service) spawnWorkerLocked() {
-	s.workers++
-	if int64(s.workers) > s.peak {
-		s.peak = int64(s.workers)
-	}
-	s.metrics().workers.Set(float64(s.workers))
-	s.wg.Add(1)
-	go s.worker()
-}
-
-// tryRetire removes this worker if the pool is above its floor.
-func (s *Service) tryRetire() bool {
+// track records c in the connection set, as admitted once its hello has
+// parsed. It reports false once Close has begun: the caller must then
+// refuse with RefuseShutdown, because Close's sweep may already be past.
+func (s *Service) track(c net.Conn, admitted bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.workers <= s.cfg.MinWorkers {
+	if s.closed.Load() {
 		return false
 	}
-	s.workers--
-	s.metrics().workers.Set(float64(s.workers))
+	s.conns[c] = admitted
 	return true
 }
 
-func (s *Service) worker() {
-	defer s.wg.Done()
-	idle := time.NewTimer(s.cfg.IdleWorker)
-	defer idle.Stop()
-	for {
-		if !idle.Stop() {
-			select {
-			case <-idle.C:
-			default:
-			}
-		}
-		idle.Reset(s.cfg.IdleWorker)
-		select {
-		case c, ok := <-s.queue:
-			if !ok {
-				s.mu.Lock()
-				s.workers--
-				s.metrics().workers.Set(float64(s.workers))
-				s.mu.Unlock()
-				return
-			}
-			s.handleConn(c)
-		case <-idle.C:
-			if s.tryRetire() {
-				return
-			}
-		}
+// refuse books a refusal in its Refused* bucket and net_refused_total,
+// then answers c with it.
+func (s *Service) refuse(c net.Conn, code uint16) {
+	switch code {
+	case RefuseRuns:
+		s.refusedRuns.Add(1)
+	case RefuseRunSessions:
+		s.refusedSessions.Add(1)
+	case RefuseBadHello:
+		s.refusedBadHello.Add(1)
+	case RefuseShutdown:
+		s.refusedShutdown.Add(1)
 	}
+	s.metrics().refused.Inc()
+	s.writeRefuse(c, code)
 }
 
 // writeRefuse sends a vSE1 and closes the connection. Best effort under a
@@ -480,21 +404,24 @@ func (s *Service) releaseSession(runID string) {
 }
 
 // handleConn runs one session: hello, admission, then the frame/ack loop
-// until the peer hangs up or the service closes.
+// until the peer hangs up or the service closes. It owns one slot, which
+// it hands back on return.
 func (s *Service) handleConn(c net.Conn) {
+	defer func() {
+		<-s.slots
+		s.wg.Done()
+	}()
 	defer c.Close()
 	if s.cfg.tuneConn != nil {
 		s.cfg.tuneConn(c)
 	}
-	if s.closed.Load() {
-		s.refusedShutdown.Add(1)
-		s.metrics().refused.Inc()
-		s.writeRefuse(c, RefuseShutdown)
+	// Arm the hello deadline before joining conns, so Close's expired
+	// deadline is never overwritten by this one.
+	_ = c.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
+	if !s.track(c, false) {
+		s.refuse(c, RefuseShutdown)
 		return
 	}
-	s.mu.Lock()
-	s.conns[c] = struct{}{}
-	s.mu.Unlock()
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c)
@@ -504,7 +431,6 @@ func (s *Service) handleConn(c net.Conn) {
 	r := bufio.NewReaderSize(c, 64<<10)
 	w := bufio.NewWriterSize(c, 64<<10)
 
-	_ = c.SetReadDeadline(time.Now().Add(s.cfg.HelloTimeout))
 	payload, _, err := readEnvelope(r, nil, helloHeaderSize+MaxRunIDLen)
 	if err != nil && !isTimeout(err) {
 		// A torn, oversized, or CRC-failing envelope says nothing about
@@ -516,31 +442,29 @@ func (s *Service) handleConn(c net.Conn) {
 		}
 		return
 	}
+	if err != nil && s.closed.Load() {
+		// Close expired the hello deadline.
+		s.refuse(c, RefuseShutdown)
+		return
+	}
 	if err != nil || !isHello(payload) {
-		s.refusedBadHello.Add(1)
-		s.metrics().refused.Inc()
-		s.writeRefuse(c, RefuseBadHello)
+		s.refuse(c, RefuseBadHello)
 		return
 	}
 	h, err := ParseHello(payload)
 	if err != nil {
-		s.refusedBadHello.Add(1)
-		s.metrics().refused.Inc()
-		s.writeRefuse(c, RefuseBadHello)
+		s.refuse(c, RefuseBadHello)
+		return
+	}
+	if !s.track(c, true) {
+		s.refuse(c, RefuseShutdown)
 		return
 	}
 	_ = c.SetReadDeadline(time.Time{})
 
 	t, code, existed := s.admit(h)
 	if t == nil {
-		switch code {
-		case RefuseRuns:
-			s.refusedRuns.Add(1)
-		case RefuseRunSessions:
-			s.refusedSessions.Add(1)
-		}
-		s.metrics().refused.Inc()
-		s.writeRefuse(c, code)
+		s.refuse(c, code)
 		return
 	}
 	defer s.releaseSession(h.RunID)
@@ -577,7 +501,7 @@ func (s *Service) handleConn(c net.Conn) {
 	// reaper: with IdleSession set, each envelope — heartbeats included —
 	// must complete within the window, so an idle peer, a half-open
 	// connection, or a slow-loris byte-dribbler all get reaped instead of
-	// pinning this worker. The write side is the ack deadline inside
+	// pinning this connection's slot. The write side is the ack deadline inside
 	// writeAck. An envelope CRC mismatch means the byte stream itself is
 	// corrupt: kill the connection and let reconnect + resume-LSN
 	// redeliver (a per-frame reject would desynchronize frame/ack order).
@@ -662,7 +586,7 @@ func isTimeout(err error) bool {
 
 // writeAck queues a 1-byte ack envelope and flushes if the reader is dry
 // or enough acks have accumulated. Every flush runs under the write
-// deadline: a stalled reader trips it instead of pinning the worker once
+// deadline: a stalled reader trips it instead of pinning the slot once
 // the socket buffers fill.
 func (s *Service) writeAck(c net.Conn, w *bufio.Writer, r *bufio.Reader, status []byte) error {
 	if err := writeEnvelope(w, status); err != nil {

@@ -144,14 +144,13 @@ func TestSessionResumeLSNAndFlags(t *testing.T) {
 	}
 }
 
-// TestLoadShedExplicitRefusal saturates a 1-deep accept queue behind a
-// 1-worker pool and asserts the overflow connection is refused with an
-// explicit vSE1 busy + retry-after — never a silent drop or hang.
+// TestLoadShedExplicitRefusal fills both slots of a MaxConns=2 service —
+// one live session, one connection still owing its hello — and asserts the
+// next connection is refused with an explicit vSE1 busy + retry-after —
+// never a silent drop or hang.
 func TestLoadShedExplicitRefusal(t *testing.T) {
 	svc, err := Listen("127.0.0.1:0", Config{
-		MinWorkers:   1,
-		MaxWorkers:   1,
-		AcceptQueue:  1,
+		MaxConns:     2,
 		RetryAfterMs: 123,
 		HelloTimeout: 10 * time.Second,
 	})
@@ -161,23 +160,23 @@ func TestLoadShedExplicitRefusal(t *testing.T) {
 	defer svc.Close()
 	addr := svc.Addr().String()
 
-	// c1 occupies the only worker with a live session.
+	// c1 holds a slot with a live session.
 	c1, err := dial(addr, Hello{RunID: "shed", Rank: 0}, DialConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c1.Close()
 
-	// c2 parks in the accept queue (it never sends a hello, and the worker
-	// is busy, so it stays there).
+	// c2 holds the other slot: it never sends a hello, so its handler
+	// waits out the 10 s hello timeout.
 	c2, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	waitFor(t, "c2 queued", func() bool { return svc.Stats().Accepted == 2 })
+	waitFor(t, "c2 accepted", func() bool { return svc.Stats().Accepted == 2 })
 
-	// c3 arrives to a full queue: explicit refusal, bounded wait.
+	// c3 finds every slot taken: explicit refusal, bounded wait.
 	done := make(chan error, 1)
 	go func() {
 		_, derr := dial(addr, Hello{RunID: "shed", Rank: 1}, DialConfig{Timeout: 5 * time.Second})
@@ -204,51 +203,53 @@ func TestLoadShedExplicitRefusal(t *testing.T) {
 	}
 }
 
-// TestPoolScalesUpDown drives enough concurrent sessions to hit
-// MaxWorkers, then closes them and watches the pool retire back to
-// MinWorkers — never exceeding either bound.
-func TestPoolScalesUpDown(t *testing.T) {
-	const maxW = 4
-	svc, err := Listen("127.0.0.1:0", Config{
-		MinWorkers: 1,
-		MaxWorkers: maxW,
-		IdleWorker: 10 * time.Millisecond,
-	})
+// TestConnCapFreesSlots fills MaxConns with live sessions, checks the next
+// dial is shed with RefuseBusy, then closes one session and checks a new
+// dial is admitted — a finished connection hands its slot back.
+func TestConnCapFreesSlots(t *testing.T) {
+	const maxConns = 4
+	svc, err := Listen("127.0.0.1:0", Config{MaxConns: maxConns})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close()
+	addr := svc.Addr().String()
 
 	var sessions []*session
-	for i := 0; i < maxW; i++ {
-		s, err := dial(svc.Addr().String(), Hello{RunID: "pool", Rank: i}, DialConfig{})
+	for i := 0; i < maxConns; i++ {
+		s, err := dial(addr, Hello{RunID: "cap", Rank: i}, DialConfig{})
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
 		}
+		defer s.Close()
 		sessions = append(sessions, s)
 		if err := s.Receive(testFrame(i, 1, 1, 1)); err != nil {
 			t.Fatalf("session %d frame: %v", i, err)
 		}
 	}
-	waitFor(t, "pool at max", func() bool { return svc.Stats().Workers == maxW })
-	if st := svc.Stats(); st.PeakWorkers > maxW {
-		t.Fatalf("pool exceeded MaxWorkers: %+v", st)
+
+	var ref *Refuse
+	if _, err := dial(addr, Hello{RunID: "cap", Rank: maxConns}, DialConfig{}); !errors.As(err, &ref) || ref.Code != RefuseBusy {
+		t.Fatalf("dial past MaxConns: %v, want RefuseBusy", err)
 	}
 
-	for _, s := range sessions {
+	sessions[0].Close()
+	waitFor(t, "slot freed", func() bool {
+		s, err := dial(addr, Hello{RunID: "cap", Rank: maxConns}, DialConfig{})
+		if err != nil {
+			return false
+		}
 		s.Close()
-	}
-	waitFor(t, "pool back at min", func() bool { return svc.Stats().Workers == 1 })
-	// It must stay there: retirement respects the floor.
-	time.Sleep(50 * time.Millisecond)
-	if st := svc.Stats(); st.Workers != 1 {
-		t.Fatalf("pool dropped below MinWorkers: %+v", st)
+		return true
+	})
+	if st := svc.Stats(); st.Shed < 1 || st.Sessions != maxConns+1 {
+		t.Fatalf("stats = %+v, want Shed>=1 Sessions=%d", st, maxConns+1)
 	}
 }
 
 func TestTenantCaps(t *testing.T) {
 	svc, err := Listen("127.0.0.1:0", Config{
-		MaxWorkers:     8,
+		MaxConns:       8,
 		MaxRuns:        1,
 		MaxRunSessions: 1,
 	})
@@ -348,7 +349,6 @@ func TestBadHelloRefused(t *testing.T) {
 	}
 }
 
-// TestShedCountsInStatus wires the service into an obs registry and
 // TestCorruptHelloGetsNoRefusal pins the hello path's answer to wire
 // damage: a hello envelope whose CRC fails is a broken byte stream, not a
 // bad hello, so the service hangs up without a vSE1 verdict — a
@@ -390,14 +390,11 @@ func TestCorruptHelloGetsNoRefusal(t *testing.T) {
 	}
 }
 
+// TestShedCountsInStatus wires the service into an obs registry and
 // asserts shed/accept counts surface through both /metrics and /status.
 func TestShedCountsInStatus(t *testing.T) {
 	o := obs.New()
-	svc, err := Listen("127.0.0.1:0", Config{
-		MinWorkers:  1,
-		MaxWorkers:  1,
-		AcceptQueue: 1,
-	})
+	svc, err := Listen("127.0.0.1:0", Config{MaxConns: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +413,7 @@ func TestShedCountsInStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	waitFor(t, "queue primed", func() bool { return svc.Stats().Accepted == 2 })
+	waitFor(t, "slots filled", func() bool { return svc.Stats().Accepted == 2 })
 	if _, err := dial(addr, Hello{RunID: "obs", Rank: 1}, DialConfig{}); err == nil {
 		t.Fatal("third connection was not shed")
 	}
@@ -462,14 +459,11 @@ func TestShedCountsInStatus(t *testing.T) {
 	}
 }
 
-// TestCloseRefusesQueued verifies shutdown drains the accept queue with
-// explicit vSE1 shutdown refusals instead of dropping the sockets.
+// TestCloseRefusesQueued verifies shutdown answers every connection that
+// has not finished its hello with an explicit vSE1 shutdown refusal
+// instead of dropping the socket — at once, not after the hello timeout.
 func TestCloseRefusesQueued(t *testing.T) {
-	svc, err := Listen("127.0.0.1:0", Config{
-		MinWorkers:  1,
-		MaxWorkers:  1,
-		AcceptQueue: 2,
-	})
+	svc, err := Listen("127.0.0.1:0", Config{MaxConns: 2, HelloTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,15 +479,16 @@ func TestCloseRefusesQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cq.Close()
-	waitFor(t, "conn queued", func() bool { return svc.Stats().Accepted == 2 })
+	waitFor(t, "conn accepted", func() bool { return svc.Stats().Accepted == 2 })
 
 	closeDone := make(chan error, 1)
 	go func() { closeDone <- svc.Close() }()
 
+	_ = cq.SetReadDeadline(time.Now().Add(5 * time.Second))
 	r := bufio.NewReader(cq)
 	payload, _, err := readEnvelope(r, nil, refuseSize)
 	if err != nil {
-		t.Fatalf("queued conn read during shutdown: %v", err)
+		t.Fatalf("hello-less conn read during shutdown: %v", err)
 	}
 	ref, err := ParseRefuse(payload)
 	if err != nil {
@@ -501,6 +496,54 @@ func TestCloseRefusesQueued(t *testing.T) {
 	}
 	if ref.Code != RefuseShutdown {
 		t.Fatalf("refusal code %d, want RefuseShutdown", ref.Code)
+	}
+	if err := <-closeDone; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st := svc.Stats(); st.RefusedShutdown != 1 {
+		t.Fatalf("stats = %+v, want RefusedShutdown=1", st)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestCloseRefusesLateHandler holds a connection's handler before it joins
+// the connection set until Close has begun, so Close's sweep cannot see it:
+// the handler itself must answer RefuseShutdown at once — not after the
+// hello timeout — and Close must wait for it.
+func TestCloseRefusesLateHandler(t *testing.T) {
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	svc, err := Listen("127.0.0.1:0", Config{
+		HelloTimeout: time.Minute,
+		tuneConn: func(net.Conn) {
+			close(entered)
+			<-release
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", svc.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	<-entered
+
+	closeDone := make(chan error, 1)
+	go func() { closeDone <- svc.Close() }()
+	waitFor(t, "Close begun", func() bool { return svc.closed.Load() })
+	close(release)
+
+	_ = c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	payload, _, err := readEnvelope(bufio.NewReader(c), nil, refuseSize)
+	if err != nil {
+		t.Fatalf("late conn read during shutdown: %v", err)
+	}
+	if ref, err := ParseRefuse(payload); err != nil || ref.Code != RefuseShutdown {
+		t.Fatalf("late conn refusal = %+v, %v; want RefuseShutdown", ref, err)
 	}
 	if err := <-closeDone; err != nil {
 		t.Fatalf("Close: %v", err)

@@ -14,7 +14,7 @@ import (
 // Dead-peer defense suite: every way a peer can go quiet — never saying
 // hello, going idle after admission, dribbling heartbeats, or reading
 // nothing while acks pile up — must end with the connection reaped and
-// the worker freed, never with a goroutine pinned forever.
+// the connection slot freed, never with a goroutine pinned forever.
 
 // TestHelloTimeoutExpires connects and says nothing. The hello deadline
 // must fire, the connection must be refused as a bad hello, and the
@@ -113,7 +113,7 @@ func TestIdleReaperSparedByHeartbeats(t *testing.T) {
 // defense in isolation: an ack flush toward a peer that never reads (a
 // net.Pipe with no reader has zero buffer, the pathological stalled
 // reader) must return a timeout within WriteTimeout and be booked as a
-// reaped session — not park the worker in Write forever.
+// reaped session — not park the handler in Write forever.
 func TestAckWriteDeadlineFires(t *testing.T) {
 	svc := &Service{cfg: Config{WriteTimeout: 50 * time.Millisecond}}
 	c, peer := net.Pipe()
@@ -144,7 +144,7 @@ func TestAckWriteDeadlineFires(t *testing.T) {
 // trips first is kernel-dependent — the ack backlog can wedge the
 // connection's read side before the next armed flush would block — so
 // both deadlines are configured and the assertion is the contract that
-// matters: the session is reaped, booked, and the worker freed.
+// matters: the session is reaped, booked, and the slot freed.
 func TestStalledReaderReaped(t *testing.T) {
 	svc, err := Listen("127.0.0.1:0", Config{
 		WriteTimeout: 150 * time.Millisecond,

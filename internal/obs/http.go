@@ -83,16 +83,8 @@ func (o *Obs) Handler() http.Handler {
 			}
 			cursor = n
 		}
-		if cur, wait := o.reportProviders(); cur != nil {
-			o.serveRecords(w, r, cur, wait, cursor)
-			return
-		}
-		recs, next, ok := o.recordsSince(cursor)
-		if !ok {
-			writeJSON(w, map[string]any{"cursor": cursor, "records": []any{}})
-			return
-		}
-		writeJSON(w, map[string]any{"cursor": next, "records": recs})
+		cur, wait := o.reportProviders()
+		o.serveRecords(w, r, cur, wait, cursor)
 	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 		lin := o.Lineage()
@@ -181,13 +173,17 @@ func (o *Obs) serveConditional(w http.ResponseWriter, r *http.Request, cur func(
 // is rejected outright, beyond the end happens when the log shrank across a
 // crash recovery) answers with truncated=true and the base to restart from,
 // never a silently clamped window. A caught-up cursor with ?wait=1 parks
-// for the next generation before answering.
+// for the next generation before answering. Without a snapshot (no report
+// provider, or the run has not started) it answers an empty window.
 func (o *Obs) serveRecords(w http.ResponseWriter, r *http.Request, cur func() *ReportSnapshot, wait func(uint64, time.Duration) *ReportSnapshot, cursor int) {
 	if cursor < 0 {
 		http.Error(w, "bad cursor: must be non-negative", http.StatusBadRequest)
 		return
 	}
-	sn := cur()
+	var sn *ReportSnapshot
+	if cur != nil {
+		sn = cur()
+	}
 	if sn == nil {
 		writeJSON(w, map[string]any{"cursor": 0, "base": 0, "records": []any{}})
 		return

@@ -85,76 +85,6 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 }
 
-func TestRecordsEndpointCursorSemantics(t *testing.T) {
-	o := New()
-	// Backing store: an append-only list, like Server.RecordsSince.
-	store := []int{}
-	o.SetRecords(func(cursor int) (any, int) {
-		if cursor < 0 {
-			cursor = 0
-		}
-		if cursor > len(store) {
-			cursor = len(store)
-		}
-		out := append([]int{}, store[cursor:]...)
-		return out, len(store)
-	})
-	srv := httptest.NewServer(o.Handler())
-	defer srv.Close()
-
-	type resp struct {
-		Cursor  int   `json:"cursor"`
-		Records []int `json:"records"`
-	}
-	poll := func(cursor int) resp {
-		t.Helper()
-		code, body := get(t, srv, "/records?cursor="+itoa(cursor))
-		if code != http.StatusOK {
-			t.Fatalf("status = %d: %s", code, body)
-		}
-		var r resp
-		if err := json.Unmarshal([]byte(body), &r); err != nil {
-			t.Fatalf("invalid JSON: %v\n%s", err, body)
-		}
-		return r
-	}
-
-	store = append(store, 1, 2, 3)
-	r1 := poll(0)
-	if len(r1.Records) != 3 || r1.Cursor != 3 {
-		t.Fatalf("first poll = %+v", r1)
-	}
-	// Re-polling at the new cursor yields nothing: exactly-once.
-	r2 := poll(r1.Cursor)
-	if len(r2.Records) != 0 || r2.Cursor != 3 {
-		t.Fatalf("empty delta = %+v", r2)
-	}
-	store = append(store, 4, 5)
-	r3 := poll(r2.Cursor)
-	if len(r3.Records) != 2 || r3.Records[0] != 4 || r3.Cursor != 5 {
-		t.Fatalf("delta = %+v", r3)
-	}
-	// Union of all polls covers each record exactly once.
-	seen := append(append([]int{}, r1.Records...), r3.Records...)
-	if len(seen) != len(store) {
-		t.Fatalf("records seen %v vs store %v", seen, store)
-	}
-
-	// Bad cursor → 400.
-	code, _ := get(t, srv, "/records?cursor=bogus")
-	if code != http.StatusBadRequest {
-		t.Errorf("bad cursor status = %d", code)
-	}
-	// No records fn → empty but valid.
-	o2 := New()
-	srv2 := httptest.NewServer(o2.Handler())
-	defer srv2.Close()
-	code, body := get(t, srv2, "/records")
-	if code != http.StatusOK || !strings.Contains(body, `"records":[]`) {
-		t.Errorf("unwired records = %d %s", code, body)
-	}
-}
-
 func TestServeRealListener(t *testing.T) {
 	o := New()
 	o.Counter("up").Inc()

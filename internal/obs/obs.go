@@ -7,7 +7,7 @@ import (
 )
 
 // Obs bundles a metrics registry and a span tracer, plus the mutable status
-// and record providers that the facade wires in when a run starts. A nil
+// and report providers that the facade wires in when a run starts. A nil
 // *Obs is a valid "observability off" value: every accessor returns a
 // nil handle whose methods are no-ops, so instrumentation sites never need
 // to branch on configuration.
@@ -17,13 +17,12 @@ type Obs struct {
 	start  time.Time
 	lin    atomic.Pointer[Lineage] // nil until EnableLineage
 
-	mu        sync.Mutex
-	statusFn  func() any
-	recordsFn func(cursor int) (any, int)
+	mu       sync.Mutex
+	statusFn func() any
 
 	// Versioned-snapshot providers (report.go); when reportFn is set it
-	// takes precedence over statusFn/recordsFn and enables ETag/304 and
-	// long-poll semantics on the HTTP surface.
+	// takes precedence over statusFn, backs /records, and enables
+	// ETag/304 and long-poll semantics on the HTTP surface.
 	reportFn     func() *ReportSnapshot
 	reportWaitFn func(afterGen uint64, timeout time.Duration) *ReportSnapshot
 }
@@ -134,18 +133,6 @@ func (o *Obs) SetStatus(fn func() any) {
 	o.mu.Unlock()
 }
 
-// SetRecords installs the function backing /records?cursor=N. It must
-// return the records after the cursor plus the new cursor (the facade wires
-// it to Server.RecordsSince).
-func (o *Obs) SetRecords(fn func(cursor int) (any, int)) {
-	if o == nil {
-		return
-	}
-	o.mu.Lock()
-	o.recordsFn = fn
-	o.mu.Unlock()
-}
-
 func (o *Obs) statusSnapshot() (any, bool) {
 	o.mu.Lock()
 	fn := o.statusFn
@@ -154,17 +141,6 @@ func (o *Obs) statusSnapshot() (any, bool) {
 		return nil, false
 	}
 	return fn(), true
-}
-
-func (o *Obs) recordsSince(cursor int) (any, int, bool) {
-	o.mu.Lock()
-	fn := o.recordsFn
-	o.mu.Unlock()
-	if fn == nil {
-		return nil, cursor, false
-	}
-	recs, next := fn(cursor)
-	return recs, next, true
 }
 
 // UptimeSeconds returns seconds since New.

@@ -188,11 +188,17 @@ func TestOutliersEndpoint(t *testing.T) {
 // cursor is a client error.
 func TestRecordsSnapshotWindow(t *testing.T) {
 	o := New()
+	srv := httptest.NewServer(o.Handler())
+	defer srv.Close()
+
+	// No report provider yet: an empty window, not an error.
+	if code, body, _ := getINM(t, srv, "/records?cursor=5", ""); code != http.StatusOK || !strings.Contains(body, `"records":[]`) {
+		t.Fatalf("unwired records = %d %s", code, body)
+	}
+
 	h := &reportHarness{}
 	h.advance(2, []int{7, 8, 9}, 0)
 	h.wire(o)
-	srv := httptest.NewServer(o.Handler())
-	defer srv.Close()
 
 	type resp struct {
 		Cursor    int   `json:"cursor"`

@@ -1,47 +1,6 @@
 package server
 
-import (
-	"sort"
-
-	"vsensor/internal/detect"
-)
-
-// RecordsSince returns the slice records received after the given cursor
-// along with the new cursor. It lets a reporting loop poll the server while
-// a job is still running and update figures incrementally — the paper's
-// "the performance report is updated periodically, thus users can notice
-// performance variance without waiting for a program to finish" (§2).
-//
-// The cursor counts records in the linearized (ticket-ordered) log. Because
-// the snapshot only exposes the contiguous ticket prefix (see
-// orderedSegments), the merged log is strictly append-only across polls: a
-// frame whose ticket is committed but whose predecessor is still in flight
-// stays invisible until the predecessor lands, so a cursor handed back to
-// the caller never points past records a later poll would insert before it.
-func (s *Server) RecordsSince(cursor int) ([]detect.SliceRecord, int) {
-	if cursor < 0 {
-		cursor = 0
-	}
-	segs := s.orderedSegments()
-	total := 0
-	for _, sg := range segs {
-		total += len(sg.recs)
-	}
-	if cursor > total {
-		cursor = total
-	}
-	out := make([]detect.SliceRecord, 0, total-cursor)
-	skip := cursor
-	for _, sg := range segs {
-		if skip >= len(sg.recs) {
-			skip -= len(sg.recs)
-			continue
-		}
-		out = append(out, sg.recs[skip:]...)
-		skip = 0
-	}
-	return out, total
-}
+import "sort"
 
 // Progress summarizes how much data the server has seen, for live
 // dashboards.

@@ -6,40 +6,6 @@ import (
 	"vsensor/internal/detect"
 )
 
-func TestRecordsSinceCursor(t *testing.T) {
-	s := New()
-	c := newTestSender(s, 0, 1)
-	for i := 0; i < 5; i++ {
-		c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: int64(i) * 1000, Count: 1, AvgNs: 10})
-	}
-	first, cur := s.RecordsSince(0)
-	if len(first) != 5 || cur != 5 {
-		t.Fatalf("first batch: %d records, cursor %d", len(first), cur)
-	}
-	// Nothing new yet.
-	none, cur2 := s.RecordsSince(cur)
-	if len(none) != 0 || cur2 != 5 {
-		t.Fatalf("expected empty delta: %d, %d", len(none), cur2)
-	}
-	// Two more arrive.
-	c.OnSlice(detect.SliceRecord{Sensor: 0, Rank: 0, SliceNs: 9000, Count: 1, AvgNs: 10})
-	c.OnSlice(detect.SliceRecord{Sensor: 1, Rank: 0, SliceNs: 10000, Count: 1, AvgNs: 10})
-	delta, cur3 := s.RecordsSince(cur2)
-	if len(delta) != 2 || cur3 != 7 {
-		t.Fatalf("delta = %d, cursor %d", len(delta), cur3)
-	}
-	if delta[0].SliceNs != 9000 || delta[1].Sensor != 1 {
-		t.Errorf("delta contents wrong: %+v", delta)
-	}
-	// Out-of-range cursors are clamped.
-	if recs, cur := s.RecordsSince(-5); len(recs) != 7 || cur != 7 {
-		t.Error("negative cursor not clamped")
-	}
-	if recs, cur := s.RecordsSince(99); len(recs) != 0 || cur != 7 {
-		t.Error("overlong cursor not clamped")
-	}
-}
-
 func TestPerRankProgress(t *testing.T) {
 	s := New()
 	if pr := s.PerRankProgress(); len(pr) != 0 {

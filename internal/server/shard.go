@@ -73,7 +73,7 @@ type segSnap struct {
 // t+1 committed on one shard while ticket t is still being written on
 // another; withholding everything from the first gap onward keeps the
 // merged log strictly append-only across successive snapshots, which is
-// what RecordsSince's cursor semantics require.
+// what the ReportSnapshot.RecordsWindow cursor requires.
 func (s *Server) orderedSegments() []segSnap {
 	// Tickets are assigned only when a frame commits, so committed segments
 	// carry the dense sequence 1..N and bucket placement by ticket rebuilds

@@ -70,9 +70,9 @@ func FuzzWALReplay(f *testing.F) {
 	crafted = appendTestEntry(crafted, walKindRejectN, 6, testBody(u32(1)))
 	crafted = appendTestEntry(crafted, walKindHeartbeatN, 10, testBody(u32(1), u64b(1000), u64b(500), u32(4)))
 	f.Add(crafted)
-	f.Add(appendTestEntry(nil, walKindDupN, 1, testBody(u32(1), u32(2))))            // span past LSN 1
+	f.Add(appendTestEntry(nil, walKindDupN, 1, testBody(u32(1), u32(2))))                             // span past LSN 1
 	f.Add(appendTestEntry(nil, walKindHeartbeatN, 8, testBody(u32(1), u64b(1), u64b(1), u32(1<<31)))) // hostile count
-	f.Add(appendTestEntry(nil, walKindDupN, 2, testBody(u32(1))))                    // body too short for count
+	f.Add(appendTestEntry(nil, walKindDupN, 2, testBody(u32(1))))                                     // body too short for count
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 	f.Add(bytes.Repeat([]byte{0}, 64))

@@ -100,10 +100,10 @@ type discardSink struct{}
 
 func (discardSink) OnRecord(Record) {}
 
-// BenchmarkRankRunE2E is the end-to-end configuration: an instrumented
-// 4-rank program with sensors firing Tick/Tock probes and records flowing
-// to a sink, i.e. the full per-record path the pipeline rides on.
-func BenchmarkRankRunE2E(b *testing.B) {
+// BenchmarkRankRunToy runs a 4-rank toy program, instrumented, with
+// sensors firing Tick/Tock probes and records flowing to a sink: the
+// per-record path the pipeline rides on, at toy scale rather than an app.
+func BenchmarkRankRunToy(b *testing.B) {
 	src := fmt.Sprintf(`
 func main() {
     for (int n = 0; n < %d; n++) {

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full repository check: build, vet, race-enabled tests (including the
+# Full repository check: build, vet, a gofmt check, race-enabled tests (including the
 # transport chaos test, the sharded-server differential conformance
 # property, and the kill-and-recover WAL/snapshot conformance gate), the
 # coverage gate against the seed baseline, a race-enabled benchmark smoke,
@@ -46,6 +46,14 @@ go build ./...
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "FAIL: gofmt would reformat:"
+    echo "$unformatted"
+    exit 1
+fi
 
 echo "== go test -race ./..."
 go test -race ./...
@@ -94,7 +102,7 @@ bench_json 'BenchmarkCounterInc$|BenchmarkHistogramObserve$|BenchmarkSpanStartEn
     ./internal/obs "$obs_out"
 
 echo "== vm execution-engine benchmarks"
-bench_json 'BenchmarkVarAccess$|BenchmarkInterpHotLoop$|BenchmarkRankRunE2E$' \
+bench_json 'BenchmarkVarAccess$|BenchmarkInterpHotLoop$|BenchmarkRankRunToy$' \
     ./internal/vm "$vm_out"
 
 echo "== record-transport benchmarks"

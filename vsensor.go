@@ -96,8 +96,8 @@ type Options struct {
 	// over a real loopback session to it: the run's own server becomes the
 	// service's tenant, so every frame crosses the wire protocol — length
 	// envelopes, vSS1 handshake, frame acks — instead of a function call.
-	// Report.Service exposes the listener (bound address, shed/pool
-	// stats); it is closed when the run finishes.
+	// Report.Service exposes the listener (bound address, shed and
+	// refusal stats); it is closed when the run finishes.
 	Listen string
 
 	// Connect dials an external analysis service (started with `vsensor
@@ -487,10 +487,6 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 					return wrap(srv.WaitSnapshot(afterGen, timeout))
 				},
 			)
-			o.SetRecords(func(cursor int) (any, int) {
-				recs, next := srv.RecordsSince(cursor)
-				return recs, next
-			})
 		} else {
 			remote := opt.Connect
 			netRS := rep.Resilient
