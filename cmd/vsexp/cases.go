@@ -22,9 +22,16 @@ func runFig18(w io.Writer, cfg suiteConfig) {
 		ranks = 128
 	}
 	rpn := 8
+	nodes := ranks / rpn
+	first, second, width := noiseBlocks(nodes)
+	if width < 1 {
+		fmt.Fprintf(w, "fig18 needs at least %d ranks (6 nodes of %d) for its two noise blocks; have %d\n",
+			6*rpn, rpn, ranks)
+		return
+	}
 	app := apps.MustGet("CG", apps.Scale{Iters: 200, Work: 150})
 	mk := func() *cluster.Cluster {
-		return cluster.New(cluster.Config{Nodes: ranks / rpn, RanksPerNode: rpn})
+		return cluster.New(cluster.Config{Nodes: nodes, RanksPerNode: rpn})
 	}
 
 	clean, err := vsensor.Run(app.Source, vsensor.Options{Ranks: ranks, Cluster: mk(), Profile: true})
@@ -35,10 +42,10 @@ func runFig18(w io.Writer, cfg suiteConfig) {
 	total := clean.Result.TotalNs
 
 	noisy := mk()
-	for node := 3; node <= 5; node++ { // ranks 24..47
+	for node := first; node < first+width; node++ {
 		noisy.AddCPUNoise(node, total/4, total/4+total/6, 0.3)
 	}
-	for node := 9; node <= 11; node++ { // ranks 72..95
+	for node := second; node < second+width; node++ {
 		noisy.AddCPUNoise(node, total*2/3, total*2/3+total/6, 0.3)
 	}
 	rep, err := vsensor.Run(app.Source, vsensor.Options{Ranks: ranks, Cluster: noisy, Profile: true})
@@ -60,12 +67,21 @@ func runFig18(w io.Writer, cfg suiteConfig) {
 	blocks := m.LowBlocks(0.8, 0.02)
 	fmt.Fprintf(w, "\nvSensor (Fig. 20) localizes %d variance blocks:\n\n", len(blocks))
 	for _, b := range blocks {
-		fmt.Fprintf(w, "- ranks %d-%d during %.1f..%.1f ms (mean perf %.2f); injected: ranks 24-47 and 72-95\n",
-			b.FirstRank, b.LastRank, float64(b.StartNs)/1e6, float64(b.EndNs)/1e6, b.MeanPerf)
+		fmt.Fprintf(w, "- ranks %d-%d during %.1f..%.1f ms (mean perf %.2f); injected: ranks %d-%d and %d-%d\n",
+			b.FirstRank, b.LastRank, float64(b.StartNs)/1e6, float64(b.EndNs)/1e6, b.MeanPerf,
+			first*rpn, (first+width)*rpn-1, second*rpn, (second+width)*rpn-1)
 	}
 	fmt.Fprintln(w, "\n```")
 	fmt.Fprint(w, m.ASCII(32, 72))
 	fmt.Fprintln(w, "```")
+}
+
+// noiseBlocks places fig18's two noise blocks on a machine of the given
+// node count: each 3/16 of the nodes wide, starting at 3/16 and 9/16 of
+// the machine (nodes 3-5 and 9-11 at the default 16 nodes). A width of 0
+// means the machine is too small to hold them.
+func noiseBlocks(nodes int) (first, second, width int) {
+	return nodes * 3 / 16, nodes * 9 / 16, nodes * 3 / 16
 }
 
 // runFig21: one node's memory at 55% slows CG; vSensor shows a persistent

@@ -55,9 +55,8 @@ type Config struct {
 	// duration before the short-sensor rule fires (default 32).
 	WarmupRecords int
 
-	// Obs attaches detector metrics (detect_records_total,
-	// detect_slices_total{rank=...}, detect_variance_events_total,
-	// detect_dropped_total). Nil disables them.
+	// Obs attaches detector metrics (detect_records_total{rank=...},
+	// detect_slices_total{rank=...}). Nil disables them.
 	Obs *obs.Obs
 }
 
@@ -96,9 +95,9 @@ type SliceRecord struct {
 
 // Emitter consumes completed slice records (e.g. the analysis-server
 // client). Calls arrive on the rank's own goroutine. A non-nil error means
-// the record could not be delivered; the detector counts it
-// (detect_emit_errors_total) and keeps analyzing — delivery failures must
-// degrade coverage, not crash the rank.
+// the record could not be delivered; the detector counts it (EmitErrors)
+// and keeps analyzing — delivery failures must degrade coverage, not crash
+// the rank.
 type Emitter interface {
 	OnSlice(SliceRecord) error
 }
@@ -149,11 +148,8 @@ type Detector struct {
 	// Per-rank counter handles (nil-safe no-ops when Config.Obs is nil).
 	// The slices/records counters carry a rank label so concurrent ranks
 	// increment distinct atomics instead of contending on one cache line.
-	obsRecords  *obs.Counter
-	obsSlices   *obs.Counter
-	obsEvents   *obs.Counter
-	obsDropped  *obs.Counter
-	obsEmitErrs *obs.Counter
+	obsRecords *obs.Counter
+	obsSlices  *obs.Counter
 }
 
 type groupKey struct {
@@ -197,9 +193,6 @@ func New(rank int, sensors []Sensor, cfg Config, emitter Emitter) *Detector {
 		rankLabel := strconv.Itoa(rank)
 		d.obsRecords = o.Counter("detect_records_total", "rank", rankLabel)
 		d.obsSlices = o.Counter("detect_slices_total", "rank", rankLabel)
-		d.obsEvents = o.Counter("detect_variance_events_total")
-		d.obsDropped = o.Counter("detect_dropped_total")
-		d.obsEmitErrs = o.Counter("detect_emit_errors_total")
 		if d.lin = o.Lineage(); d.lin != nil {
 			if ts, ok := emitter.(TraceSource); ok {
 				d.traceSrc = ts
@@ -223,7 +216,6 @@ func (d *Detector) BindClock(c vm.Clock) {
 func (d *Detector) OnRecord(r vm.Record) {
 	if d.disabled[r.Sensor] {
 		d.dropped++
-		d.obsDropped.Inc()
 		return
 	}
 	d.obsRecords.Inc()
@@ -315,7 +307,6 @@ func (d *Detector) closeSlice(key groupKey, st *groupState) {
 			SliceNs: st.sliceStart,
 			Perf:    perf,
 		})
-		d.obsEvents.Inc()
 	}
 	if d.emitter != nil {
 		if d.traceSrc != nil {
@@ -328,7 +319,6 @@ func (d *Detector) closeSlice(key groupKey, st *groupState) {
 		if err := d.emitter.OnSlice(rec); err != nil {
 			d.emitErrs++
 			d.lastEmitErr = err
-			d.obsEmitErrs.Inc()
 		}
 	}
 	st.count = 0

@@ -25,15 +25,13 @@ type World struct {
 	colls sync.Map // "kind#seq" -> *collSlot
 	pairs sync.Map // "src>dst" -> chan message
 
-	// Communication counters, resolved once by SetObs before the ranks
-	// start (the map is then read-only, so rank goroutines may share it).
-	obsColl     map[string]*obs.Counter
-	obsP2PMsgs  *obs.Counter
-	obsP2PBytes *obs.Counter
+	// Collective counters, resolved once by SetObs before the ranks start
+	// (the map is then read-only, so rank goroutines may share it).
+	obsColl map[string]*obs.Counter
 }
 
-// SetObs attaches communication metrics (mpi_collectives_total{kind=...},
-// mpi_p2p_messages_total, mpi_p2p_bytes_total). Must be called before Run.
+// SetObs attaches the mpi_collectives_total{kind=...} counters. Must be
+// called before Run.
 func (w *World) SetObs(o *obs.Obs) {
 	if o == nil {
 		return
@@ -42,8 +40,6 @@ func (w *World) SetObs(o *obs.Obs) {
 	for _, kind := range []string{"barrier", "bcast", "reduce", "allreduce", "alltoall"} {
 		w.obsColl[kind] = o.Counter("mpi_collectives_total", "kind", kind)
 	}
-	w.obsP2PMsgs = o.Counter("mpi_p2p_messages_total")
-	w.obsP2PBytes = o.Counter("mpi_p2p_bytes_total")
 }
 
 // message is an in-flight point-to-point payload.
@@ -137,8 +133,6 @@ func (w *World) pair(src, dst int) chan message {
 // local injection overhead; the transfer cost is charged at the receiver.
 func (p *Proc) Send(dst int, bytes int64, value float64) {
 	p.checkPeer(dst)
-	p.World.obsP2PMsgs.Inc()
-	p.World.obsP2PBytes.Add(bytes)
 	p.World.pair(p.Rank, dst) <- message{sentAt: p.now, bytes: bytes, value: value}
 	// Injection overhead: a fraction of the latency.
 	p.now += p.World.Cluster.P2PCost(p.now, 0) / 4

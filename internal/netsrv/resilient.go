@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"vsensor/internal/obs"
 	"vsensor/internal/server"
 )
 
@@ -177,10 +176,6 @@ type ResilientSession struct {
 
 	free  [][]byte // recycled pend copies (see push)
 	stats ResilientStats
-
-	reconnects *obs.Counter
-	attempts   *obs.Counter
-	backoffNs  *obs.Histogram
 }
 
 // DialResilient dials the first connection eagerly (so configuration
@@ -196,15 +191,6 @@ func DialResilient(cfg ReconnectConfig) (*ResilientSession, error) {
 		return nil, err
 	}
 	return r, nil
-}
-
-// SetObs mirrors reconnect activity into an observability registry.
-func (r *ResilientSession) SetObs(o *obs.Obs) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.reconnects = o.Counter("net_reconnects_total")
-	r.attempts = o.Counter("net_dial_attempts_total")
-	r.backoffNs = o.Histogram("net_dial_backoff_ns")
 }
 
 // Ack returns the most recent vSA1 session ack (the latest successful
@@ -275,14 +261,7 @@ func (r *ResilientSession) onAck(status byte) {
 func (r *ResilientSession) redialLocked(deadline time.Time) error {
 	h := r.cfg.Hello
 	h.ResumeLSN = r.lsn
-	before := r.stats
 	s, err := r.dialLocked(h, deadline)
-	if r.attempts != nil {
-		r.attempts.Add(r.stats.DialAttempts - before.DialAttempts)
-	}
-	if slept := r.stats.BackoffNs - before.BackoffNs; r.backoffNs != nil && slept > 0 {
-		r.backoffNs.ObserveInt(slept)
-	}
 	if err != nil {
 		r.stats.Outages++
 		return err
@@ -292,9 +271,6 @@ func (r *ResilientSession) redialLocked(deadline time.Time) error {
 	r.lastAck = s.Ack()
 	if r.ever {
 		r.stats.Reconnects++
-		if r.reconnects != nil {
-			r.reconnects.Inc()
-		}
 	}
 	r.ever = true
 	// Reconcile: the ack's LSN is the server's truth. Anything it has

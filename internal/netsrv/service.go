@@ -156,11 +156,6 @@ type Service struct {
 type obsHandles struct {
 	accepted *obs.Counter
 	shed     *obs.Counter
-	refused  *obs.Counter
-	frames   *obs.Counter
-	reaped   *obs.Counter
-	sessions *obs.Gauge
-	runs     *obs.Gauge
 }
 
 // Listen binds addr (e.g. "127.0.0.1:0"), starts the accept loop, and
@@ -192,11 +187,6 @@ func (s *Service) SetObs(o *obs.Obs) {
 	s.met.Store(&obsHandles{
 		accepted: o.Counter("net_accepted_total"),
 		shed:     o.Counter("net_shed_total"),
-		refused:  o.Counter("net_refused_total"),
-		frames:   o.Counter("net_frames_total"),
-		reaped:   o.Counter("net_sessions_reaped_total"),
-		sessions: o.Gauge("net_sessions_open"),
-		runs:     o.Gauge("net_runs"),
 	})
 }
 
@@ -339,8 +329,7 @@ func (s *Service) track(c net.Conn, admitted bool) bool {
 	return true
 }
 
-// refuse books a refusal in its Refused* bucket and net_refused_total,
-// then answers c with it.
+// refuse books a refusal in its Refused* bucket, then answers c with it.
 func (s *Service) refuse(c net.Conn, code uint16) {
 	switch code {
 	case RefuseRuns:
@@ -352,7 +341,6 @@ func (s *Service) refuse(c net.Conn, code uint16) {
 	case RefuseShutdown:
 		s.refusedShutdown.Add(1)
 	}
-	s.metrics().refused.Inc()
 	s.writeRefuse(c, code)
 }
 
@@ -386,7 +374,6 @@ func (s *Service) admit(h Hello) (*tenant, uint16, bool) {
 		}
 		t = &tenant{srv: srv}
 		s.runs[h.RunID] = t
-		s.metrics().runs.Set(float64(len(s.runs)))
 	}
 	if s.cfg.MaxRunSessions > 0 && t.sessions >= s.cfg.MaxRunSessions {
 		return nil, RefuseRunSessions, false
@@ -471,11 +458,7 @@ func (s *Service) handleConn(c net.Conn) {
 
 	s.sessions.Add(1)
 	s.sessionsOpen.Add(1)
-	s.metrics().sessions.Set(float64(s.sessionsOpen.Load()))
-	defer func() {
-		s.sessionsOpen.Add(-1)
-		s.metrics().sessions.Set(float64(s.sessionsOpen.Load()))
-	}()
+	defer s.sessionsOpen.Add(-1)
 
 	ack := SessionAck{Version: ProtocolVersion, LSN: t.srv.DurabilityStats().LSN}
 	if existed {
@@ -531,7 +514,6 @@ func (s *Service) handleConn(c net.Conn) {
 				s.corruptEnv.Add(1)
 			} else if s.cfg.IdleSession > 0 && isTimeout(err) {
 				s.sessionsReaped.Add(1)
-				s.metrics().reaped.Inc()
 			}
 			return
 		}
@@ -540,7 +522,6 @@ func (s *Service) handleConn(c net.Conn) {
 		switch rerr := t.srv.Receive(payload); {
 		case rerr == nil:
 			s.framesIn.Add(1)
-			s.metrics().frames.Inc()
 		case errors.Is(rerr, server.ErrServerDown):
 			s.framesDown.Add(1)
 			status = frameAckDown
@@ -574,7 +555,6 @@ func (s *Service) armWrite(c net.Conn) {
 func (s *Service) countWriteTimeout(err error) {
 	if err != nil && isTimeout(err) {
 		s.sessionsReaped.Add(1)
-		s.metrics().reaped.Inc()
 	}
 }
 

@@ -157,54 +157,31 @@ func describeStandard(r *Registry) {
 	r.Describe("vm_records_total", "Raw sensor records emitted by Tick/Tock probes across ranks.")
 	r.Describe("vm_steps_total", "Interpreted mini-C statements executed across ranks.")
 	r.Describe("vm_probe_ns_total", "Virtual nanoseconds charged for Tick/Tock probe overhead (the paper's <4% budget).")
-	r.Describe("vm_events_total", "Runtime events seen by baseline sinks, by kind (comp/net/io).")
 	r.Describe("vm_time_ns_total", "Virtual nanoseconds per category (comp/net/io) summed across ranks.")
-	r.Describe("vm_active_ranks", "Rank goroutines currently executing.")
 	r.Describe("detect_records_total", "Raw records consumed by per-rank detectors.")
 	r.Describe("detect_slices_total", "Smoothed time-slice analyses completed (one per closed slice).")
-	r.Describe("detect_variance_events_total", "Per-process variance events flagged below the threshold.")
-	r.Describe("detect_dropped_total", "Records skipped because the short-sensor rule disabled their sensor.")
-	r.Describe("detect_emit_errors_total", "Slice records the emitter failed to deliver (transport backpressure loss or decode rejects).")
 	r.Describe("server_messages_total", "Batch frames ingested by the analysis server (duplicates excluded).")
 	r.Describe("server_bytes_total", "Encoded bytes ingested by the analysis server.")
-	r.Describe("server_records_total", "Slice records ingested by the analysis server.")
 	r.Describe("server_batch_bytes", "Size distribution of ingested batch frames.")
-	r.Describe("server_dup_frames_total", "Retransmitted frames absorbed by per-rank sequence dedup.")
-	r.Describe("server_checksum_errors_total", "Frames rejected because their CRC did not match (bit corruption).")
-	r.Describe("server_rejected_frames_total", "Frames rejected for framing/header errors (not checksum).")
 	r.Describe("server_records_expected", "Records the ranks claim to have sent (from frame headers), summed over ranks.")
 	r.Describe("server_records_ingested", "Records actually decoded into the server log; expected-ingested is the coverage gap.")
-	r.Describe("server_wal_entries_total", "Entries appended to the analysis server's write-ahead log.")
-	r.Describe("server_wal_bytes_total", "Bytes appended to the write-ahead log (framing included).")
-	r.Describe("server_wal_syncs_total", "WAL fsyncs issued (group commit flushes).")
-	r.Describe("server_snapshots_total", "Checkpoints taken: snapshot written, WAL segment rotated.")
-	r.Describe("server_snapshot_bytes", "Size of the most recent snapshot.")
-	r.Describe("server_recoveries_total", "Crash recoveries completed (snapshot load + WAL replay).")
-	r.Describe("server_wal_truncated_bytes_total", "WAL bytes discarded at recovery as torn or corrupt tails.")
-	r.Describe("server_replayed_frames_total", "Frames re-ingested from the WAL during crash recovery.")
-	r.Describe("server_heartbeats_total", "Liveness heartbeats ingested from rank connections.")
-	r.Describe("server_ranks_alive", "Ranks whose liveness lease is current (or who hold no lease).")
-	r.Describe("server_ranks_suspect", "Ranks silent past one lease but not yet declared dead.")
-	r.Describe("server_ranks_dead", "Ranks silent past the dead threshold, excluded from the watermark.")
-	r.Describe("server_report_gen", "Current generation of the versioned report snapshot (the /status ETag).")
-	r.Describe("server_report_builds_total", "Report snapshot rebuilds (cache misses after a state change).")
-	r.Describe("server_report_hits_total", "Report snapshot reads served from the cached render.")
+	r.Describe("server_shards", "Ingest shard count of the analysis server.")
+	r.Describe("server_shard_records", "Records held in each ingest shard's sub-log, by shard.")
+	r.Describe("server_shard_frames", "Frames ingested into each shard's sub-log, by shard.")
+	r.Describe("server_epochs_open", "Analysis epochs still accepting records (not yet sealed behind the watermark).")
+	r.Describe("wal_group_commits_total", "WAL commit groups flushed to the device (one write and one sync each).")
+	r.Describe("wal_coalesced_entries_total", "Delivery outcomes absorbed into an open coalesced WAL run.")
+	r.Describe("wal_flush_bytes", "Size distribution of WAL commit groups in bytes.")
+	r.Describe("wal_sync_wait_ns", "Wall nanoseconds each WAL group sync waited on the device; buckets carry lineage exemplars.")
 	r.Describe("transport_frames_total", "Fresh frames handed to the lossy link by rank conns.")
 	r.Describe("transport_acked_total", "Frame deliveries acknowledged by the link (incl. parked retries).")
 	r.Describe("transport_retries_total", "Failed delivery attempts that were retried with backoff.")
 	r.Describe("transport_dropped_total", "Delivery attempts lost to the fault plan's drop rate.")
-	r.Describe("transport_corrupted_total", "Delivery attempts that arrived bit-corrupted and were rejected by CRC.")
-	r.Describe("transport_duplicated_total", "Deliveries duplicated by the fault plan (ack-loss model).")
-	r.Describe("transport_reordered_total", "Frames held in flight and delivered after a newer frame.")
-	r.Describe("transport_server_down_rejects_total", "Delivery attempts rejected while the server was crashed/stalled.")
-	r.Describe("transport_parked_total", "Frames parked in a retransmit buffer after exhausting retries.")
-	r.Describe("transport_records_lost_total", "Records lost to drop-oldest backpressure or abandoned at close.")
-	r.Describe("transport_heartbeats_total", "Liveness heartbeats delivered to the server by rank conns.")
 	r.Describe("mpi_collectives_total", "Collective operations completed, by kind.")
-	r.Describe("mpi_p2p_messages_total", "Point-to-point messages sent.")
-	r.Describe("mpi_p2p_bytes_total", "Point-to-point payload bytes sent.")
 	r.Describe("cluster_cost_calls_total", "Cost-model evaluations, by kind (compute/p2p/collective/io).")
 	r.Describe("run_ranks", "Rank count of the current (or last) pipeline run.")
 	r.Describe("lineage_stage_ns", "Per-stage latency of sampled record lineages; outlier buckets carry exemplar trace IDs.")
 	r.Describe("lineage_sampled_frames_total", "Frames stamped with a lineage trace ID (roughly 1/SampleEvery of all frames).")
+	r.Describe("net_accepted_total", "TCP connections the network service accepted, shed ones included.")
+	r.Describe("net_shed_total", "TCP connections shed with a busy refusal because every connection slot was taken.")
 }

@@ -84,11 +84,8 @@ type analyzer struct {
 	open atomic.Int64 // currently open epochs
 
 	// Observability handles (nil-safe no-ops when obs is off).
-	obsOpen    *obs.Gauge     // server_epochs_open
-	obsClosed  *obs.Counter   // server_epochs_closed_total
-	obsReopens *obs.Counter   // server_epoch_reopens_total
-	obsLag     *obs.Histogram // server_epoch_lag_ns: watermark - slice at close
-	lin        *obs.Lineage   // record-lineage tracer (nil = lineage off)
+	obsOpen *obs.Gauge   // server_epochs_open
+	lin     *obs.Lineage // record-lineage tracer (nil = lineage off)
 }
 
 func newAnalyzer() *analyzer {
@@ -116,9 +113,6 @@ func (a *analyzer) reset() {
 
 func (a *analyzer) setObs(o *obs.Obs) {
 	a.obsOpen = o.Gauge("server_epochs_open")
-	a.obsClosed = o.Counter("server_epochs_closed_total")
-	a.obsReopens = o.Counter("server_epoch_reopens_total")
-	a.obsLag = o.Histogram("server_epoch_lag_ns")
 	a.lin = o.Lineage()
 }
 
@@ -152,7 +146,6 @@ func (a *analyzer) fold(recs []detect.SliceRecord, trace uint64, live bool) {
 			ep.closed = false
 			ep.cached = nil
 			a.open.Add(1)
-			a.obsReopens.Inc()
 			if live && lin != nil {
 				// Attribute the reopen to the late record's own trace when
 				// it is sampled, else to the epoch's remembered journey.
@@ -203,8 +196,6 @@ func (a *analyzer) outliers(threshold float64, watermark int64, haveWatermark bo
 			if wasClosed := ep.closed; wasClosed || (haveWatermark && k.slice < watermark) {
 				if !wasClosed {
 					a.open.Add(-1)
-					a.obsClosed.Inc()
-					a.obsLag.ObserveInt(watermark - k.slice)
 					if lin := a.lin; lin != nil && ep.trace != 0 {
 						now := nowUnixNs()
 						lin.Record(ep.trace, obs.StageEpochClose, int(ep.traceRank), 0, now, 0, int64(len(ep.entries)))

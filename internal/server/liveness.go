@@ -152,20 +152,6 @@ func (s *Server) livenessView() livenessView {
 		out = append(out, rl)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	var alive, suspect, dead int
-	for _, rl := range out {
-		switch rl.State {
-		case Alive:
-			alive++
-		case Suspect:
-			suspect++
-		case Dead:
-			dead++
-		}
-	}
-	s.obsAlive.Set(float64(alive))
-	s.obsSuspect.Set(float64(suspect))
-	s.obsDead.Set(float64(dead))
 	return livenessView{ranks: out, frontier: frontier, latest: latest}
 }
 
@@ -174,7 +160,7 @@ func (s *Server) Liveness() []RankLiveness {
 	return s.livenessView().ranks
 }
 
-// LivenessSummary aggregates the lease states for gauges and /status.
+// LivenessSummary aggregates the lease states for /status.
 type LivenessSummary struct {
 	Alive, Suspect, Dead int
 	FrontierNs           int64
@@ -204,13 +190,8 @@ func (s *Server) receiveHeartbeat(rank int, nowNs, leaseNs int64, live bool) err
 	}
 	sh.mu.Unlock()
 	s.heartbeats.Add(1)
-	if live {
-		s.obsHeartbeats.Inc()
-		if s.dur != nil {
-			if err := s.dur.logHeartbeat(rank, nowNs, leaseNs); err != nil {
-				return err
-			}
-		}
+	if live && s.dur != nil {
+		return s.dur.logHeartbeat(rank, nowNs, leaseNs)
 	}
 	return nil
 }

@@ -227,9 +227,6 @@ func (s *Server) Recover() (RecoveryStats, error) {
 	d.recoveries++
 	d.lastRec = rs
 	d.mu.Unlock()
-	d.obsRecovered.Inc()
-	d.obsTruncated.Add(rs.TruncatedBytes)
-	d.obsReplayed.Add(int64(rs.FramesReplayed))
 
 	// Seal recovery with a checkpoint: the recovered state becomes the
 	// newest snapshot and the WAL rotates to a clean segment.

@@ -100,22 +100,11 @@ type Server struct {
 	snap snapshotCache
 
 	// Observability handles (nil-safe no-ops when obs is off).
-	obsMessages   *obs.Counter
-	obsBytes      *obs.Counter
-	obsRecords    *obs.Counter
-	obsBatch      *obs.Histogram
-	obsDup        *obs.Counter
-	obsCRC        *obs.Counter
-	obsRejected   *obs.Counter
-	obsExpected   *obs.Gauge
-	obsIngested   *obs.Gauge
-	obsHeartbeats *obs.Counter
-	obsAlive      *obs.Gauge
-	obsSuspect    *obs.Gauge
-	obsDead       *obs.Gauge
-	obsSnapGen    *obs.Gauge
-	obsSnapBuilds *obs.Counter
-	obsSnapHits   *obs.Counter
+	obsMessages *obs.Counter
+	obsBytes    *obs.Counter
+	obsBatch    *obs.Histogram
+	obsExpected *obs.Gauge
+	obsIngested *obs.Gauge
 }
 
 // New creates an empty analysis server with DefaultShards ingest shards.
@@ -157,31 +146,20 @@ func NewSharded(n int) *Server {
 // Shards returns the ingest shard count.
 func (s *Server) Shards() int { return len(s.shards) }
 
-// SetObs attaches ingest metrics: message/byte/record counters, the
-// batch-size histogram (server_batch_bytes), dedup/corruption counters, the
-// coverage gauges (server_records_expected / server_records_ingested),
-// per-shard gauges (server_shard_records / server_shard_frames), and the
-// epoch analyzer's gauges and lag histogram. Call before the run starts.
+// SetObs attaches ingest metrics: message/byte counters, the batch-size
+// histogram (server_batch_bytes), the coverage gauges
+// (server_records_expected / server_records_ingested), per-shard gauges
+// (server_shard_records / server_shard_frames), and the epoch analyzer's
+// open-epoch gauge. Call before the run starts.
 func (s *Server) SetObs(o *obs.Obs) {
 	if o == nil {
 		return
 	}
 	s.obsMessages = o.Counter("server_messages_total")
 	s.obsBytes = o.Counter("server_bytes_total")
-	s.obsRecords = o.Counter("server_records_total")
 	s.obsBatch = o.Histogram("server_batch_bytes")
-	s.obsDup = o.Counter("server_dup_frames_total")
-	s.obsCRC = o.Counter("server_checksum_errors_total")
-	s.obsRejected = o.Counter("server_rejected_frames_total")
 	s.obsExpected = o.Gauge("server_records_expected")
 	s.obsIngested = o.Gauge("server_records_ingested")
-	s.obsHeartbeats = o.Counter("server_heartbeats_total")
-	s.obsAlive = o.Gauge("server_ranks_alive")
-	s.obsSuspect = o.Gauge("server_ranks_suspect")
-	s.obsDead = o.Gauge("server_ranks_dead")
-	s.obsSnapGen = o.Gauge("server_report_gen")
-	s.obsSnapBuilds = o.Counter("server_report_builds_total")
-	s.obsSnapHits = o.Counter("server_report_hits_total")
 	o.Gauge("server_shards").Set(float64(len(s.shards)))
 	for i, sh := range s.shards {
 		label := strconv.Itoa(i)
@@ -256,7 +234,6 @@ func (s *Server) receiveLocked(encoded []byte) error {
 		rank, nowNs, leaseNs, err := parseHeartbeat(encoded)
 		if err != nil {
 			s.rejectedFrames.Add(1)
-			s.obsRejected.Inc()
 			if s.dur != nil {
 				if werr := s.dur.logBadFrame(false); werr != nil {
 					return werr
@@ -271,10 +248,8 @@ func (s *Server) receiveLocked(encoded []byte) error {
 		checksum := errors.Is(err, ErrChecksum)
 		if checksum {
 			s.checksumErrors.Add(1)
-			s.obsCRC.Inc()
 		} else {
 			s.rejectedFrames.Add(1)
-			s.obsRejected.Inc()
 		}
 		if s.dur != nil {
 			if werr := s.dur.logBadFrame(checksum); werr != nil {
@@ -338,7 +313,6 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64, 
 		sh.dupFrames++
 		sh.mu.Unlock()
 		if live {
-			s.obsDup.Inc()
 			s.setCoverageGauges()
 		}
 		return true, 0
@@ -391,7 +365,6 @@ func (s *Server) ingestFrame(h FrameHeader, encoded []byte, forceTicket uint64, 
 	if live {
 		s.obsMessages.Inc()
 		s.obsBytes.Add(int64(len(encoded)))
-		s.obsRecords.Add(int64(len(recs)))
 		s.obsBatch.ObserveInt(int64(len(encoded)))
 		sh.obsRecords.Set(float64(shardRecords))
 		sh.obsFrames.Set(float64(shardFrames))

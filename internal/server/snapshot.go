@@ -358,8 +358,6 @@ func (s *Server) checkpointLocked() error {
 		}
 	}
 	d.snapshots++
-	d.obsSnapshots.Inc()
-	d.obsSnapBytes.Set(float64(len(enc)))
 	return nil
 }
 

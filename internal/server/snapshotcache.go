@@ -209,7 +209,6 @@ func (s *Server) Snapshot() *ReportSnapshot {
 	c := &s.snap
 	if sn := c.cur.Load(); sn != nil && sn.version == c.ver.Load() {
 		c.hits.Add(1)
-		s.obsSnapHits.Inc()
 		return sn
 	}
 	if !c.mu.TryLock() {
@@ -220,14 +219,12 @@ func (s *Server) Snapshot() *ReportSnapshot {
 		} else {
 			sn := c.cur.Load()
 			c.hits.Add(1)
-			s.obsSnapHits.Inc()
 			return sn
 		}
 	}
 	defer c.mu.Unlock()
 	if sn := c.cur.Load(); sn != nil && sn.version == c.ver.Load() {
 		c.hits.Add(1)
-		s.obsSnapHits.Inc()
 		return sn
 	}
 	if c.cur.Load() != nil {
@@ -250,7 +247,6 @@ func (s *Server) Snapshot() *ReportSnapshot {
 		// the version, so the first post-recovery read rebuilds.
 		if old := c.cur.Load(); old != nil {
 			c.hits.Add(1)
-			s.obsSnapHits.Inc()
 			return old
 		}
 		sn = &ReportSnapshot{
@@ -265,8 +261,6 @@ func (s *Server) Snapshot() *ReportSnapshot {
 	c.lastBuild = time.Now()
 	c.buildDur = c.lastBuild.Sub(start)
 	c.builds.Add(1)
-	s.obsSnapBuilds.Inc()
-	s.obsSnapGen.Set(float64(c.gen))
 	return sn
 }
 

@@ -77,13 +77,9 @@ type DurabilityConfig struct {
 	// implies the outcome is durable — the mode under which transport-level
 	// exactly-once survives real crashes. Larger values are group commit:
 	// staged-but-unflushed outcomes are lost at a crash and clients re-send
-	// from the recovered LSN.
+	// from the recovered LSN. A group also flushes once it stages
+	// DefaultFlushBytes bytes, whichever comes first.
 	FlushEvery int
-
-	// FlushBytes caps the staging buffer in bytes: a commit group flushes
-	// when it covers FlushEvery outcomes *or* FlushBytes staged bytes,
-	// whichever comes first. 0 selects DefaultFlushBytes.
-	FlushBytes int
 
 	// Coalesce collapses runs of heartbeat/dup/checksum/reject outcomes
 	// into count-delta entries (walKind*N), so steady-state chatter costs
@@ -144,18 +140,10 @@ type durability struct {
 	lastRec      RecoveryStats
 
 	// Observability handles (nil-safe no-ops when obs is off).
-	obsEntries      *obs.Counter
-	obsBytes        *obs.Counter
-	obsSyncs        *obs.Counter
 	obsGroupCommits *obs.Counter
 	obsCoalesced    *obs.Counter
 	obsFlushBytes   *obs.Histogram
 	obsSyncWait     *obs.Histogram
-	obsSnapshots    *obs.Counter
-	obsSnapBytes    *obs.Gauge
-	obsRecovered    *obs.Counter
-	obsTruncated    *obs.Counter
-	obsReplayed     *obs.Counter
 	lin             *obs.Lineage // record-lineage tracer (nil = lineage off)
 }
 
@@ -320,7 +308,6 @@ type DurabilityStats struct {
 	LastRecovery     RecoveryStats
 	SnapshotEvery    int
 	FlushEvery       int // 1 = one write and one sync per outcome
-	FlushBytes       int
 	Coalesce         bool
 }
 
@@ -355,7 +342,6 @@ func (s *Server) DurabilityStats() DurabilityStats {
 		LastRecovery:     d.lastRec,
 		SnapshotEvery:    every,
 		FlushEvery:       d.cfg.FlushEvery,
-		FlushBytes:       d.cfg.FlushBytes,
 		Coalesce:         d.cfg.Coalesce,
 	}
 }
@@ -389,9 +375,6 @@ func (s *Server) AttachDurability(cfg DurabilityConfig) {
 			cfg.FlushEvery = DefaultFlushEvery
 		}
 	}
-	if cfg.FlushBytes <= 0 {
-		cfg.FlushBytes = DefaultFlushBytes
-	}
 	d := &durability{disk: cfg.Disk, cfg: cfg}
 	d.enc = &groupEncoder{d: d}
 	s.dur = d
@@ -399,17 +382,9 @@ func (s *Server) AttachDurability(cfg DurabilityConfig) {
 
 // setDurObs attaches the durability metric handles. Called from SetObs.
 func (d *durability) setObs(o *obs.Obs) {
-	d.obsEntries = o.Counter("server_wal_entries_total")
-	d.obsBytes = o.Counter("server_wal_bytes_total")
-	d.obsSyncs = o.Counter("server_wal_syncs_total")
 	d.obsGroupCommits = o.Counter("wal_group_commits_total")
 	d.obsCoalesced = o.Counter("wal_coalesced_entries_total")
 	d.obsFlushBytes = o.Histogram("wal_flush_bytes")
 	d.obsSyncWait = o.Histogram("wal_sync_wait_ns")
-	d.obsSnapshots = o.Counter("server_snapshots_total")
-	d.obsSnapBytes = o.Gauge("server_snapshot_bytes")
-	d.obsRecovered = o.Counter("server_recoveries_total")
-	d.obsTruncated = o.Counter("server_wal_truncated_bytes_total")
-	d.obsReplayed = o.Counter("server_replayed_frames_total")
 	d.lin = o.Lineage()
 }

@@ -11,11 +11,11 @@ import (
 // and shares the LSN counter, the entry framing, and the reusable encode
 // buffer on durability. Encoded entries accumulate in a staging buffer and
 // hit the device as ONE write + ONE sync when the group covers FlushEvery
-// outcomes or FlushBytes bytes; with FlushEvery 1 every outcome is its own
-// write + sync, so its ack implies it is durable. With Coalesce, runs of
-// heartbeat/dup/checksum/reject outcomes collapse into a single count-delta
-// entry (walKind*N) materialized when the run closes, so steady-state
-// chatter costs O(1) journal bytes. Staged outcomes are acked before they
+// outcomes or DefaultFlushBytes bytes; with FlushEvery 1 every outcome is
+// its own write + sync, so its ack implies it is durable. With Coalesce,
+// runs of heartbeat/dup/checksum/reject outcomes collapse into a single
+// count-delta entry (walKind*N) materialized when the run closes, so
+// steady-state chatter costs O(1) journal bytes. Staged outcomes are acked before they
 // are written: a crash loses the staged tail and clients re-send from the
 // recovered LSN.
 type groupEncoder struct {
@@ -235,7 +235,7 @@ func (e *groupEncoder) stagedBytes() int64 {
 }
 
 func (e *groupEncoder) maybeFlush() error {
-	if e.outcomes >= e.d.cfg.FlushEvery || e.stagedBytes() >= int64(e.d.cfg.FlushBytes) {
+	if e.outcomes >= e.d.cfg.FlushEvery || e.stagedBytes() >= DefaultFlushBytes {
 		return e.flush()
 	}
 	return nil
@@ -271,9 +271,6 @@ func (e *groupEncoder) flush() error {
 	d.bytes += int64(len(e.buf))
 	d.syncs++
 	d.groupCommits++
-	d.obsEntries.Add(int64(e.entries))
-	d.obsBytes.Add(int64(len(e.buf)))
-	d.obsSyncs.Inc()
 	d.obsGroupCommits.Inc()
 	d.obsFlushBytes.ObserveInt(int64(len(e.buf)))
 	d.obsSyncWait.ObserveExemplar(float64(wait), trace)

@@ -134,18 +134,10 @@ type Link struct {
 	lin *obs.Lineage
 
 	// Observability handles (nil-safe no-ops when obs is off).
-	obsFrames     *obs.Counter
-	obsAcked      *obs.Counter
-	obsRetries    *obs.Counter
-	obsDropped    *obs.Counter
-	obsCorrupted  *obs.Counter
-	obsDuped      *obs.Counter
-	obsReordered  *obs.Counter
-	obsRejects    *obs.Counter
-	obsParked     *obs.Counter
-	obsPacked     *obs.Counter
-	obsLost       *obs.Counter
-	obsHeartbeats *obs.Counter
+	obsFrames  *obs.Counter
+	obsAcked   *obs.Counter
+	obsRetries *obs.Counter
+	obsDropped *obs.Counter
 }
 
 // NewLink wraps a delivery medium — the in-process *server.Server or a
@@ -190,14 +182,6 @@ func (l *Link) SetObs(o *obs.Obs) {
 	l.obsAcked = o.Counter("transport_acked_total")
 	l.obsRetries = o.Counter("transport_retries_total")
 	l.obsDropped = o.Counter("transport_dropped_total")
-	l.obsCorrupted = o.Counter("transport_corrupted_total")
-	l.obsDuped = o.Counter("transport_duplicated_total")
-	l.obsReordered = o.Counter("transport_reordered_total")
-	l.obsRejects = o.Counter("transport_server_down_rejects_total")
-	l.obsParked = o.Counter("transport_parked_total")
-	l.obsPacked = o.Counter("transport_packed_flushes_total")
-	l.obsLost = o.Counter("transport_records_lost_total")
-	l.obsHeartbeats = o.Counter("transport_heartbeats_total")
 	l.lin = o.Lineage()
 }
 
@@ -215,7 +199,6 @@ func (l *Link) deliver(c *Conn, frame []byte, corrupt []byte, dup, reorder bool)
 			if l.onCrash != nil {
 				l.crashOnce.Do(l.onCrash)
 			}
-			l.obsRejects.Inc()
 			return false
 		}
 		if l.plan.CrashDownFrames > 0 && l.onRecover != nil {
@@ -229,7 +212,6 @@ func (l *Link) deliver(c *Conn, frame []byte, corrupt []byte, dup, reorder bool)
 		// The damaged copy reaches the server, which rejects it by CRC;
 		// the sender never gets an ack.
 		_ = l.sink.Receive(corrupt)
-		l.obsCorrupted.Inc()
 		return false
 	}
 	// An older held frame arrives after the newer one overtook it.
@@ -243,7 +225,6 @@ func (l *Link) deliver(c *Conn, frame []byte, corrupt []byte, dup, reorder bool)
 		// next frame (or at Close). The sender still gets its ack — from
 		// its view the frame was accepted by the network.
 		c.held = append([]byte(nil), frame...)
-		l.obsReordered.Inc()
 		return true
 	}
 	if err := l.sink.Receive(frame); err != nil {
@@ -253,7 +234,6 @@ func (l *Link) deliver(c *Conn, frame []byte, corrupt []byte, dup, reorder bool)
 		// Ack lost → sender-side retransmit arrives too; the server's
 		// sequence dedup absorbs it.
 		_ = l.sink.Receive(frame)
-		l.obsDuped.Inc()
 	}
 	return true
 }
@@ -386,11 +366,7 @@ func (l *Link) deliverHeartbeat(hb []byte) bool {
 		a < l.plan.CrashAfterFrames+l.plan.CrashDownFrames {
 		return false
 	}
-	if err := l.sink.Receive(hb); err != nil {
-		return false
-	}
-	l.obsHeartbeats.Inc()
-	return true
+	return l.sink.Receive(hb) == nil
 }
 
 // OnSlice buffers one record, flushing when the batch is full
@@ -398,7 +374,6 @@ func (l *Link) deliverHeartbeat(hb []byte) bool {
 func (c *Conn) OnSlice(r detect.SliceRecord) error {
 	if c.silenced() {
 		c.lostRecords++
-		c.link.obsLost.Inc()
 		return nil
 	}
 	c.buf = append(c.buf, r)
@@ -454,7 +429,6 @@ func (c *Conn) flush(force bool) error {
 	// Close forces one too — there is no later flush to pack into.
 	if !force && len(c.parked) > 0 && len(c.buf) < c.packLimit() {
 		c.packedFlushes++
-		c.link.obsPacked.Inc()
 		return err
 	}
 	for len(c.buf) > 0 {
@@ -553,7 +527,6 @@ func (c *Conn) attempt(frame []byte) bool {
 // records and reported as an error.
 func (c *Conn) park(frame []byte) error {
 	c.parked = append(c.parked, append([]byte(nil), frame...))
-	c.link.obsParked.Inc()
 	if len(c.parked) <= c.cfg.BufferCap {
 		return nil
 	}
@@ -566,7 +539,6 @@ func (c *Conn) park(frame []byte) error {
 	}
 	c.lostFrames++
 	c.lostRecords += lost
-	c.link.obsLost.Add(lost)
 	return fmt.Errorf("transport: rank %d retransmit buffer full (cap %d), dropped oldest frame (%d records)",
 		c.rank, c.cfg.BufferCap, lost)
 }
@@ -645,10 +617,7 @@ func (c *Conn) dropAllSilently() {
 		c.held = nil
 		c.lostFrames++
 	}
-	if lost > 0 {
-		c.lostRecords += lost
-		c.link.obsLost.Add(lost)
-	}
+	c.lostRecords += lost
 }
 
 // Close flushes buffered records, makes a final persistent attempt at every
@@ -672,7 +641,6 @@ func (c *Conn) Close() error {
 			}
 			c.lostFrames++
 			c.lostRecords += lost
-			c.link.obsLost.Add(lost)
 		}
 		c.parked = nil
 		lossErr := fmt.Errorf("transport: rank %d abandoned %d undeliverable frames at close", c.rank, n)

@@ -258,17 +258,6 @@ func (m *Machine) Run() *Result {
 	vmMetrics := newRankMetrics(o) // nil-safe: nil obs yields no-op handles
 	if o != nil {
 		cfg.Cluster.SetObs(o)
-		if cfg.EventFactory != nil {
-			inner := cfg.EventFactory
-			counts := [3]*obs.Counter{
-				EvComp: o.Counter("vm_events_total", "kind", "comp"),
-				EvNet:  o.Counter("vm_events_total", "kind", "net"),
-				EvIO:   o.Counter("vm_events_total", "kind", "io"),
-			}
-			cfg.EventFactory = func(rank int) EventSink {
-				return &countingEventSink{next: inner(rank), counts: counts}
-			}
-		}
 		for r := 0; r < cfg.Ranks; r++ {
 			o.NameThread(r+1, fmt.Sprintf("rank %d", r))
 		}
@@ -281,7 +270,6 @@ func (m *Machine) Run() *Result {
 
 	total := world.Run(func(p *mpisim.Proc) {
 		sp := o.Span(p.Rank+1, "rank").Arg("rank", itoa(p.Rank))
-		vmMetrics.active.Add(1)
 		in := newInterp(m, p, cfg)
 		err := in.runMain()
 		in.flush()
@@ -299,7 +287,6 @@ func (m *Machine) Run() *Result {
 		stats[p.Rank] = st
 		mu.Unlock()
 		vmMetrics.flushRank(&st, in)
-		vmMetrics.active.Add(-1)
 		sp.End()
 	})
 	return &Result{TotalNs: total, Ranks: stats}
@@ -310,7 +297,6 @@ func (m *Machine) Run() *Result {
 // each interp and flushed here once per rank, keeping the interpreter's
 // inner loop free of shared-cache-line traffic.
 type rankMetrics struct {
-	active  *obs.Gauge
 	records *obs.Counter
 	steps   *obs.Counter
 	probeNs *obs.Counter
@@ -319,7 +305,6 @@ type rankMetrics struct {
 
 func newRankMetrics(o *obs.Obs) *rankMetrics {
 	return &rankMetrics{
-		active:  o.Gauge("vm_active_ranks"),
 		records: o.Counter("vm_records_total"),
 		steps:   o.Counter("vm_steps_total"),
 		probeNs: o.Counter("vm_probe_ns_total"),
@@ -339,20 +324,6 @@ func (rm *rankMetrics) flushRank(st *RankStats, in *interp) {
 	rm.timeNs[EvComp].Add(st.CompNs)
 	rm.timeNs[EvNet].Add(st.NetNs)
 	rm.timeNs[EvIO].Add(st.IONs)
-}
-
-// countingEventSink tees event counts by kind into the registry before the
-// baseline sink (profiler/tracer) sees them.
-type countingEventSink struct {
-	next   EventSink
-	counts [3]*obs.Counter
-}
-
-func (c *countingEventSink) OnEvent(e Event) {
-	if int(e.Kind) < len(c.counts) {
-		c.counts[e.Kind].Inc()
-	}
-	c.next.OnEvent(e)
 }
 
 func itoa(v int) string { return fmt.Sprintf("%d", v) }

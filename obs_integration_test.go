@@ -8,6 +8,9 @@ package vsensor_test
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,7 +19,11 @@ import (
 	"testing"
 
 	vsensor "vsensor"
+	"vsensor/internal/apps"
+	"vsensor/internal/netsrv"
 	"vsensor/internal/obs"
+	"vsensor/internal/server"
+	"vsensor/internal/transport"
 )
 
 const obsTestSrc = `
@@ -237,5 +244,132 @@ func TestObsUninstrumentedRun(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"records":[]`) {
 		t.Errorf("/records without a server = %d %s", resp.StatusCode, body)
+	}
+}
+
+// describedFamilies returns the family names describeStandard gives HELP
+// text to, read from the obs package source.
+func describedFamilies(t *testing.T) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "internal/obs/obs.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Name.Name != "describeStandard" {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "Describe" {
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				names = append(names, name)
+			}
+			return true
+		})
+	}
+	if len(names) == 0 {
+		t.Fatal("no Describe calls found in describeStandard")
+	}
+	return names
+}
+
+// TestMetricFamiliesDescribed runs a job that lights every layer that
+// registers metrics — a Listen session with reconnect, a group-commit
+// coalescing WAL, a lossy link and lineage sampling — and checks /metrics
+// both ways: every exported family carries HELP text, and every family
+// describeStandard documents is one the run actually registers.
+func TestMetricFamiliesDescribed(t *testing.T) {
+	o := obs.New()
+	app := apps.MustGet("CG", apps.Scale{Iters: 6, Work: 10})
+	_, err := vsensor.Run(app.Source, vsensor.Options{
+		Ranks: 8, Seed: 3, Obs: o,
+		Listen: "127.0.0.1:0", RunID: "help-check",
+		Reconnect:  &netsrv.ReconnectConfig{},
+		Durability: &server.DurabilityConfig{FlushEvery: 64, Coalesce: true},
+		Faults:     &transport.FaultPlan{Seed: 9, Drop: 0.1},
+		Lineage:    &obs.LineageConfig{SampleEvery: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := o.Registry().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	typed := map[string]bool{}
+	helped := map[string]bool{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" {
+			switch f[1] {
+			case "TYPE":
+				typed[f[2]] = true
+			case "HELP":
+				helped[f[2]] = true
+			}
+		}
+	}
+	for name := range typed {
+		if !helped[name] {
+			t.Errorf("/metrics family %s has no # HELP line", name)
+		}
+	}
+	for _, name := range describedFamilies(t) {
+		if !typed[name] {
+			t.Errorf("describeStandard documents %s, which the run never registers", name)
+		}
+	}
+}
+
+// TestStatusBatchSizeIsEffective: /status reports the frame size the
+// record link actually cuts — the transport default when nothing is set,
+// Options.BatchSize next, and Transport.BatchSize over both.
+func TestStatusBatchSizeIsEffective(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  vsensor.Options
+		want int
+	}{
+		{"default", vsensor.Options{}, transport.DefaultBatchSize},
+		{"options", vsensor.Options{BatchSize: 8}, 8},
+		{"transport wins", vsensor.Options{BatchSize: 8, Transport: &transport.Config{BatchSize: 16}}, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.New()
+			opt := tc.opt
+			opt.Ranks, opt.Obs = 2, o
+			if _, err := vsensor.Run(obsTestSrc, opt); err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(o.Handler())
+			defer ts.Close()
+			res, err := ts.Client().Get(ts.URL + "/status")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer res.Body.Close()
+			var st struct {
+				Run struct {
+					BatchSize int `json:"batch_size"`
+				} `json:"run"`
+			}
+			if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Run.BatchSize != tc.want {
+				t.Errorf("/status batch_size = %d, want %d", st.Run.BatchSize, tc.want)
+			}
+		})
 	}
 }

@@ -269,7 +269,6 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 	rep.Analysis = analysis.AnalyzeWith(prog, opt.Analysis)
 	sp.End()
 
-	var mach *vm.Machine
 	vcfg := vm.Config{
 		Ranks:        opt.Ranks,
 		Cluster:      opt.Cluster,
@@ -281,6 +280,40 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 	}
 
 	vcfg.Obs = o
+	if opt.Profile || opt.Trace {
+		if opt.Profile {
+			rep.Profiler = profiler.New()
+		}
+		if opt.Trace {
+			rep.Tracer = tracer.New()
+		}
+		vcfg.EventFactory = func(rank int) vm.EventSink {
+			var sinks []vm.EventSink
+			if rep.Profiler != nil {
+				sinks = append(sinks, rep.Profiler.Collector(rank))
+			}
+			if rep.Tracer != nil {
+				sinks = append(sinks, rep.Tracer.Collector(rank))
+			}
+			if len(sinks) == 1 {
+				return sinks[0]
+			}
+			return multiEventSink(sinks)
+		}
+	}
+
+	// The record link's frame size: Transport.BatchSize wins over
+	// Options.BatchSize, and neither set means transport.DefaultBatchSize.
+	tcfg := transport.Config{}
+	if opt.Transport != nil {
+		tcfg = *opt.Transport
+	}
+	if tcfg.BatchSize == 0 {
+		tcfg.BatchSize = opt.BatchSize
+	}
+	if tcfg.BatchSize <= 0 {
+		tcfg.BatchSize = transport.DefaultBatchSize
+	}
 
 	var collectors []*recordCollector
 	var mu sync.Mutex
@@ -332,7 +365,7 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 				}
 				rep.Service, addr = svc, svc.Addr().String()
 			}
-			rs, err := dialSession(opt, addr, runID, o)
+			rs, err := dialSession(opt, addr, runID)
 			if err != nil {
 				if rep.Service != nil {
 					rep.Service.Close()
@@ -368,14 +401,6 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 				func() { _, _ = srv.Recover() },
 			)
 		}
-		tcfg := transport.Config{}
-		if opt.Transport != nil {
-			tcfg = *opt.Transport
-		}
-		if tcfg.BatchSize == 0 {
-			tcfg.BatchSize = opt.BatchSize
-		}
-
 		meta := make([]detect.Sensor, len(rep.Instrumented.Sensors))
 		for i, s := range rep.Instrumented.Sensors {
 			meta[i] = detect.Sensor{ID: s.ID, Type: s.Type, ProcessFixed: s.ProcessFixed, Name: s.Name}
@@ -410,37 +435,12 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 				}
 			}
 		}()
+	}
+	var mach *vm.Machine
+	if rep.Instrumented != nil {
 		mach = vm.NewInstrumented(rep.Instrumented, vcfg)
 	} else {
 		mach = vm.New(prog, vcfg)
-	}
-
-	if opt.Profile || opt.Trace {
-		if opt.Profile {
-			rep.Profiler = profiler.New()
-		}
-		if opt.Trace {
-			rep.Tracer = tracer.New()
-		}
-		vcfg.EventFactory = func(rank int) vm.EventSink {
-			var sinks []vm.EventSink
-			if rep.Profiler != nil {
-				sinks = append(sinks, rep.Profiler.Collector(rank))
-			}
-			if rep.Tracer != nil {
-				sinks = append(sinks, rep.Tracer.Collector(rank))
-			}
-			if len(sinks) == 1 {
-				return sinks[0]
-			}
-			return multiEventSink(sinks)
-		}
-		// Recreate the machine with the event factory wired in.
-		if rep.Instrumented != nil {
-			mach = vm.NewInstrumented(rep.Instrumented, vcfg)
-		} else {
-			mach = vm.New(prog, vcfg)
-		}
 	}
 
 	if o != nil {
@@ -454,7 +454,7 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 		}
 		ranks := opt.Ranks
 		uninstrumented := opt.Uninstrumented
-		batch := opt.BatchSize
+		batch := tcfg.BatchSize
 		probeCost := opt.ProbeCostNs
 		if srv != nil {
 			// With a server the whole read surface — /status, /records,
@@ -534,7 +534,7 @@ func RunProgram(prog *ir.Program, opt Options) (*Report, error) {
 // Options.Reconnect are consulted; with Reconnect nil the session runs
 // with a zero outage budget (no NetErrors). The retry seed defaults to the
 // run seed, keeping backoff jitter reproducible with everything else.
-func dialSession(opt Options, addr, runID string, o *obs.Obs) (*netsrv.ResilientSession, error) {
+func dialSession(opt Options, addr, runID string) (*netsrv.ResilientSession, error) {
 	var rc netsrv.ReconnectConfig
 	if opt.Reconnect != nil {
 		rc = *opt.Reconnect
@@ -545,14 +545,7 @@ func dialSession(opt Options, addr, runID string, o *obs.Obs) (*netsrv.Resilient
 	if rc.Retry.Seed == 0 {
 		rc.Retry.Seed = opt.Seed
 	}
-	rs, err := netsrv.DialResilient(rc)
-	if err != nil {
-		return nil, err
-	}
-	if o != nil {
-		rs.SetObs(o)
-	}
-	return rs, nil
+	return netsrv.DialResilient(rc)
 }
 
 // recordCollector tees raw records into a slice before the detector.
